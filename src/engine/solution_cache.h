@@ -1,4 +1,4 @@
-// Policy-composed cache of mapping solutions, keyed by request fingerprint.
+// Sharded-LRU cache of mapping solutions, keyed by request fingerprint.
 //
 // The engine sees the same problem repeatedly: a frontier sweep rerun with
 // one flag changed, a simulator mapping the workload it just mapped, a
@@ -10,30 +10,21 @@
 // comparison, and a hit replays exactly the bytes a cold solve would have
 // produced.
 //
-// BasicSolutionCache is a skeleton over four policies
-// (engine/cache_policies.h, engine/cache_persist.h):
+// The key's low bits pick one of N independently locked shards, so
+// concurrent engine users do not serialize on one lock; each shard evicts
+// its least-recently-used entry when full. A disk tier (one checksummed
+// file per fingerprint, see cache_persist.h) stays dormant until
+// EnablePersistence(dir); when enabled, a memory miss lazily probes disk
+// and a hit there rehydrates the memory LRU, while inserts spill
+// write-behind so restarts start warm. Aggregate stats() and the
+// engine.cache.* registry counters are kept under their own mutex.
 //
-//   * Concurrency — how shards synchronize. The default sharded-mutex
-//     policy picks a shard by the key's low bits so concurrent engine
-//     users do not serialize on one lock; single-mutex and unlocked
-//     variants exist for low-contention and single-threaded embedders.
-//   * Eviction — which resident entry a full shard sacrifices (LRU).
-//   * Persistence — an optional disk tier (one checksummed file per
-//     fingerprint, see cache_persist.h). Disabled until
-//     EnablePersistence(dir); when enabled, a memory miss lazily probes
-//     disk and a hit there rehydrates the memory LRU, while inserts
-//     spill write-behind so restarts start warm.
-//   * Stats — aggregate stats() plus engine.cache.* registry counters,
-//     or nothing.
-//
-// The default instantiation (the SolutionCache alias) reproduces the
-// original hand-written sharded-LRU cache byte-for-byte when persistence
-// is not enabled — pinned by tests/engine/cache_policies_test.cpp, which
-// drives this template and a verbatim copy of the old implementation with
-// identical operation sequences.
+// With persistence off, this reproduces the original hand-written cache
+// byte-for-byte — pinned by tests/engine/cache_policies_test.cpp, which
+// drives it and a verbatim copy of the old implementation with identical
+// operation sequences.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -45,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/cache_policies.h"
 #include "engine/cache_persist.h"
 #include "engine/cached_solution.h"
 
@@ -77,108 +67,33 @@ struct SolutionCacheStats {
   std::uint64_t persist_breaker_skips = 0;
 };
 
-template <typename Concurrency = ShardedMutexConcurrency,
-          typename Eviction = LruEviction,
-          typename Persistence = DiskPersistence,
-          typename Stats = MeteredStats>
-class BasicSolutionCache {
+class SolutionCache {
  public:
-  /// `capacity` entries total, split evenly over the policy's shard count
-  /// (each shard rounded up to hold at least one entry).
-  explicit BasicSolutionCache(std::size_t capacity = 256,
-                              std::size_t shards = 8) {
-    shards = Concurrency::NumShards(shards);
-    capacity = std::max<std::size_t>(shards, capacity);
-    per_shard_capacity_ = (capacity + shards - 1) / shards;
-    shards_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
-    capacity_ = per_shard_capacity_ * shards;
-  }
+  /// `capacity` entries total, split evenly over `shards` (at least one;
+  /// each shard rounded up to hold at least one entry).
+  explicit SolutionCache(std::size_t capacity = 256, std::size_t shards = 8);
 
-  BasicSolutionCache(const BasicSolutionCache&) = delete;
-  BasicSolutionCache& operator=(const BasicSolutionCache&) = delete;
+  SolutionCache(const SolutionCache&) = delete;
+  SolutionCache& operator=(const SolutionCache&) = delete;
 
-  /// Returns the cached solution and refreshes its eviction-order
-  /// position, or nullopt. A memory miss probes the persistent tier when
-  /// one is enabled; a disk hit (CachedSolution::from_disk set) also
-  /// rehydrates the memory tier. Counts a hit or miss either way.
-  std::optional<CachedSolution> Lookup(std::uint64_t key) {
-    Shard& shard = ShardFor(key);
-    std::optional<CachedSolution> result;
-    {
-      std::lock_guard<typename Concurrency::Mutex> lock(shard.mu);
-      const auto it = shard.index.find(key);
-      if (it != shard.index.end()) {
-        Eviction::Touched(shard.lru, it->second);
-        result = it->second->second;
-      }
-    }
-    if (!result && persist_.enabled()) {
-      if (std::optional<CachedSolution> loaded = persist_.Load(key)) {
-        // Rehydrate the memory tier so repeats are pure memory hits (and,
-        // engine-side, the fingerprint is warm-pool eligible again). The
-        // load is not a caller insert — only its eviction is counted.
-        CachedSolution resident = *loaded;
-        resident.from_disk = false;
-        stats_.RecordRehydrate(InsertEntry(key, std::move(resident)));
-        result = std::move(loaded);
-      }
-    }
-    stats_.RecordLookup(result.has_value());
-    return result;
-  }
+  /// Returns the cached solution and marks it most recently used, or
+  /// nullopt. A memory miss probes the persistent tier when one is
+  /// enabled; a disk hit (CachedSolution::from_disk set) also rehydrates
+  /// the memory tier. Counts a hit or miss either way.
+  std::optional<CachedSolution> Lookup(std::uint64_t key);
 
   /// Inserts (or refreshes) `value` under `key`, evicting the shard's
-  /// policy-chosen victim when full, and spills the entry write-behind to
-  /// the persistent tier when one is enabled.
-  void Insert(std::uint64_t key, CachedSolution value) {
-    value.from_disk = false;
-    if (persist_.enabled()) persist_.Store(key, value);
-    stats_.RecordInsert(InsertEntry(key, std::move(value)));
-  }
+  /// least-recently-used entry when full, and spills the entry
+  /// write-behind to the persistent tier when one is enabled.
+  void Insert(std::uint64_t key, CachedSolution value);
 
-  SolutionCacheStats stats() const {
-    const CacheAggregateStats agg = stats_.Snapshot();
-    SolutionCacheStats out;
-    out.hits = agg.hits;
-    out.misses = agg.misses;
-    out.evictions = agg.evictions;
-    out.inserts = agg.inserts;
-    out.capacity = capacity_;
-    for (const auto& shard : shards_) {
-      std::lock_guard<typename Concurrency::Mutex> lock(shard->mu);
-      out.entries += shard->lru.size();
-    }
-    const PersistTierStats tier = persist_.stats();
-    out.persist_enabled = tier.enabled;
-    out.persist_hits = tier.hits;
-    out.persist_misses = tier.misses;
-    out.persist_writes = tier.writes;
-    out.persist_write_drops = tier.write_drops;
-    out.persist_corrupt = tier.corrupt;
-    out.persist_errors = tier.errors;
-    out.persist_evicted = tier.evicted;
-    out.persist_read_only = tier.read_only;
-    out.persist_breaker_state = tier.breaker_state;
-    out.persist_breaker_opens = tier.breaker_opens;
-    out.persist_breaker_skips = tier.breaker_skips;
-    return out;
-  }
+  SolutionCacheStats stats() const;
 
   /// Drops every resident entry. The persistent tier, when enabled, is
   /// untouched: Clear is a memory reset, not a forget.
-  void Clear() {
-    for (const auto& shard : shards_) {
-      std::lock_guard<typename Concurrency::Mutex> lock(shard->mu);
-      shard->lru.clear();
-      shard->index.clear();
-    }
-  }
+  void Clear();
 
-  /// Points the persistence policy at `dir` (see DiskPersistence::Enable;
-  /// a contract violation on persistence-free instantiations).
+  /// Points the disk tier at `dir` (see DiskPersistence::Enable).
   void EnablePersistence(const std::string& dir) { persist_.Enable(dir); }
   /// Same, with the full robustness knobs (size bound, disk breaker).
   void EnablePersistence(const DiskPersistOptions& options) {
@@ -194,13 +109,10 @@ class BasicSolutionCache {
 
  private:
   struct Shard {
-    // Mutable so const snapshots (stats) can lock like the original
-    // implementation did through its unique_ptr indirection.
-    mutable typename Concurrency::Mutex mu;
-    /// Ordered by the eviction policy (LRU: most recently used first).
+    std::mutex mu;
+    /// Most recently used first.
     std::list<std::pair<std::uint64_t, CachedSolution>> lru;
-    std::unordered_map<std::uint64_t, typename decltype(lru)::iterator>
-        index;
+    std::unordered_map<std::uint64_t, decltype(lru)::iterator> index;
   };
 
   Shard& ShardFor(std::uint64_t key) {
@@ -210,37 +122,24 @@ class BasicSolutionCache {
   /// Refresh-or-insert under the shard lock; returns whether a resident
   /// entry was evicted. Stats are the caller's job (a caller insert and a
   /// disk rehydrate count differently).
-  bool InsertEntry(std::uint64_t key, CachedSolution value) {
-    Shard& shard = ShardFor(key);
-    bool evicted = false;
-    std::lock_guard<typename Concurrency::Mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      it->second->second = std::move(value);
-      Eviction::Touched(shard.lru, it->second);
-    } else {
-      if (shard.lru.size() >= per_shard_capacity_) {
-        const auto victim = Eviction::Victim(shard.lru);
-        shard.index.erase(victim->first);
-        shard.lru.erase(victim);
-        evicted = true;
-      }
-      const auto pos =
-          Eviction::Inserted(shard.lru, std::make_pair(key, std::move(value)));
-      shard.index.emplace(key, pos);
-    }
-    return evicted;
-  }
+  bool InsertEntry(std::uint64_t key, CachedSolution value);
+
+  void RecordLookup(bool hit);
+  /// `inserted` is false for a disk rehydrate: not a caller insert (the
+  /// hits+misses+inserts identity must survive restarts), but an eviction
+  /// it causes is real.
+  void RecordInsert(bool inserted, bool evicted);
 
   std::size_t per_shard_capacity_;
-  std::size_t capacity_ = 0;
+  std::size_t capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  Persistence persist_;
-  Stats stats_;
-};
+  DiskPersistence persist_;
 
-/// The engine's default instantiation: sharded mutexes, LRU, a disk tier
-/// that stays dormant until EnablePersistence, metered stats.
-using SolutionCache = BasicSolutionCache<>;
+  mutable std::mutex stats_mu_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t inserts_ = 0;
+};
 
 }  // namespace pipemap

@@ -117,17 +117,12 @@ CircuitBreaker::Config SolverBreakerConfig(const ServerConfig& config) {
 }
 
 SimOptions BuildSimOptions(const ServerRequest& req) {
-  SimOptions options;
-  options.num_datasets = req.datasets;
-  if (options.num_datasets < 1 || options.num_datasets > 1'000'000) {
+  if (req.datasets < 1 || req.datasets > 1'000'000) {
     throw InvalidArgument("datasets must be in [1, 1000000], got " +
                           std::to_string(req.datasets));
   }
-  options.warmup = options.num_datasets / 4;
-  options.noise.systematic_stddev = req.noise;
-  options.noise.jitter_stddev = req.noise / 3.0;
-  options.noise.seed = static_cast<std::uint64_t>(req.seed);
-  return options;
+  return MeasurementSimOptions(req.datasets, req.noise,
+                               static_cast<std::uint64_t>(req.seed));
 }
 
 }  // namespace

@@ -9,6 +9,17 @@
 
 namespace pipemap {
 
+SimOptions MeasurementSimOptions(int num_datasets, double noise,
+                                 std::uint64_t seed) {
+  SimOptions options;
+  options.num_datasets = num_datasets;
+  options.warmup = num_datasets / 4;
+  options.noise.systematic_stddev = noise;
+  options.noise.jitter_stddev = noise / 3.0;
+  options.noise.seed = seed;
+  return options;
+}
+
 PipelineSimulator::PipelineSimulator(const TaskChain& chain)
     : chain_(&chain) {}
 

@@ -21,6 +21,7 @@
 // and can harvest per-phase profiles exactly like an instrumented run.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -64,6 +65,13 @@ struct SimOptions {
   /// instance of a module has crashed.
   const FaultPlan* faults = nullptr;
 };
+
+/// The options a measurement request (CLI simulate/report, the server's
+/// simulate op) runs with: the first quarter of the data sets is warm-up,
+/// `noise` is the systematic stddev and a third of it the per-phase
+/// jitter. Range-checking the inputs is the caller's job.
+SimOptions MeasurementSimOptions(int num_datasets, double noise,
+                                 std::uint64_t seed);
 
 /// Per-module activity totals: seconds spent in each phase, summed over
 /// the module's instances and all data sets. Always populated by both

@@ -19,6 +19,7 @@
 #include "engine/solution_cache.h"
 #include "support/chaos.h"
 #include "support/error.h"
+#include "../temp_dir.h"
 
 namespace pipemap {
 namespace {
@@ -32,15 +33,6 @@ CachedSolution Sample() {
   value.solver = "greedy+dp";
   value.exact = true;
   return value;
-}
-
-/// A fresh, empty scratch directory under gtest's per-test temp root.
-std::string ScratchDir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("pipemap_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
 }
 
 void WriteFile(const std::string& path, const std::string& bytes) {
@@ -129,7 +121,8 @@ TEST(CacheEntryFormatTest, RejectsMalformedEntries) {
 }
 
 TEST(DiskPersistenceTest, StoreFlushLoadRoundTrip) {
-  const std::string dir = ScratchDir("persist_roundtrip");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   DiskPersistence tier;
   tier.Enable(dir);
   EXPECT_TRUE(tier.enabled());
@@ -154,7 +147,8 @@ TEST(DiskPersistenceTest, StoreFlushLoadRoundTrip) {
 }
 
 TEST(DiskPersistenceTest, CorruptEntryIsSkippedThenHealedByOverwrite) {
-  const std::string dir = ScratchDir("persist_corrupt");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   DiskPersistence tier;
   tier.Enable(dir);
 
@@ -177,7 +171,8 @@ TEST(DiskPersistenceTest, CorruptEntryIsSkippedThenHealedByOverwrite) {
 }
 
 TEST(DiskPersistenceTest, EnableIsIdempotentButRejectsRepointing) {
-  const std::string dir = ScratchDir("persist_enable");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   DiskPersistence tier;
   tier.Enable(dir);
   EXPECT_NO_THROW(tier.Enable(dir));
@@ -197,7 +192,8 @@ TEST(DiskPersistenceTest, DisabledTierIsInert) {
 }
 
 TEST(SolutionCachePersistTest, DiskHitRehydratesTheMemoryTier) {
-  const std::string dir = ScratchDir("cache_rehydrate");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   {
     SolutionCache writer(8, 2);
     writer.EnablePersistence(dir);
@@ -227,7 +223,8 @@ TEST(SolutionCachePersistTest, DiskHitRehydratesTheMemoryTier) {
 }
 
 TEST(SolutionCachePersistTest, ClearDropsMemoryButNotDisk) {
-  const std::string dir = ScratchDir("cache_clear");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   SolutionCache cache(8, 2);
   cache.EnablePersistence(dir);
   cache.Insert(4, Sample());
@@ -240,7 +237,8 @@ TEST(SolutionCachePersistTest, ClearDropsMemoryButNotDisk) {
 }
 
 TEST(DiskPersistenceTest, AdvisoryLockMakesSecondInstanceReadOnly) {
-  const std::string dir = ScratchDir("persist_lock");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   DiskPersistence owner;
   owner.Enable(dir);
   owner.Store(1, Sample());
@@ -265,7 +263,8 @@ TEST(DiskPersistenceTest, AdvisoryLockMakesSecondInstanceReadOnly) {
 }
 
 TEST(DiskPersistenceTest, AdvisoryLockIsReleasedOnDestruction) {
-  const std::string dir = ScratchDir("persist_lock_release");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   {
     DiskPersistence owner;
     owner.Enable(dir);
@@ -276,7 +275,8 @@ TEST(DiskPersistenceTest, AdvisoryLockIsReleasedOnDestruction) {
 }
 
 TEST(DiskPersistenceTest, SecondProcessFallsBackToReadOnly) {
-  const std::string dir = ScratchDir("persist_lock_process");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   DiskPersistence owner;
   owner.Enable(dir);
   owner.Flush();  // writer idle before the fork
@@ -297,7 +297,8 @@ TEST(DiskPersistenceTest, SecondProcessFallsBackToReadOnly) {
 }
 
 TEST(DiskPersistenceTest, MaxBytesEvictsOldestEntriesFirst) {
-  const std::string dir = ScratchDir("persist_evict");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   const std::uint64_t entry_bytes = EncodeCacheEntry(1, Sample()).size();
   DiskPersistOptions options;
   options.dir = dir;
@@ -333,7 +334,8 @@ TEST(DiskPersistenceTest, MaxBytesEvictsOldestEntriesFirst) {
 }
 
 TEST(DiskPersistenceTest, StartupSweepEnforcesTheBound) {
-  const std::string dir = ScratchDir("persist_startup_sweep");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   const std::uint64_t entry_bytes = EncodeCacheEntry(1, Sample()).size();
   {
     DiskPersistence unbounded;
@@ -362,7 +364,8 @@ struct ChaosGuard {
 
 TEST(DiskPersistenceTest, WriteErrorsOpenTheBreakerAndSkipTheDisk) {
   ChaosGuard guard;
-  const std::string dir = ScratchDir("persist_breaker_write");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   DiskPersistOptions options;
   options.dir = dir;
   options.breaker_failures = 2;
@@ -393,7 +396,8 @@ TEST(DiskPersistenceTest, WriteErrorsOpenTheBreakerAndSkipTheDisk) {
 
 TEST(DiskPersistenceTest, BreakerHealsAfterTheCooldown) {
   ChaosGuard guard;
-  const std::string dir = ScratchDir("persist_breaker_heal");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   DiskPersistOptions options;
   options.dir = dir;
   options.breaker_failures = 1;
@@ -421,7 +425,8 @@ TEST(DiskPersistenceTest, BreakerHealsAfterTheCooldown) {
 
 TEST(DiskPersistenceTest, ReadErrorsTripTheBreakerButAbsenceDoesNot) {
   ChaosGuard guard;
-  const std::string dir = ScratchDir("persist_breaker_read");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   DiskPersistOptions options;
   options.dir = dir;
   options.breaker_failures = 1;
@@ -451,7 +456,8 @@ TEST(DiskPersistenceTest, ReadErrorsTripTheBreakerButAbsenceDoesNot) {
 }
 
 TEST(SolutionCachePersistTest, MissingEntryFallsThroughToMiss) {
-  const std::string dir = ScratchDir("cache_miss");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   SolutionCache cache(8, 2);
   cache.EnablePersistence(dir);
   EXPECT_FALSE(cache.Lookup(77));

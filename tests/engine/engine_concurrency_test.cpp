@@ -2,8 +2,8 @@
 // into one shared engine, so Map/Frontier/MinProcs must be safe — and
 // deterministic — when called from many threads against the same
 // solution cache, sweep caches, and warm pool. This test also compiles
-// into a ThreadSanitizer target (engine_concurrency_tsan, see
-// tests/CMakeLists.txt), which is where the race-freedom claim is
+// into the ThreadSanitizer binary (ctest entry engine_concurrency_tsan,
+// see tests/CMakeLists.txt), which is where the race-freedom claim is
 // actually certified.
 #include <atomic>
 #include <cstdint>

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -18,6 +17,7 @@
 #include "workloads/fft_hist.h"
 #include "workloads/radar.h"
 #include "../json_util.h"
+#include "../temp_dir.h"
 #include "../test_util.h"
 
 namespace pipemap {
@@ -598,16 +598,9 @@ TEST(MappingEngineTest, IncrementalWarmPoolReusesSweepAcrossRequests) {
   EXPECT_NE(json.find("\"sweep_prefix_reused\""), std::string::npos);
 }
 
-/// A fresh, empty scratch directory under gtest's per-test temp root.
-std::string ScratchDir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("pipemap_" + name);
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
 TEST(MappingEngineTest, PersistentTierServesRestartedProcessFromDisk) {
-  const std::string dir = ScratchDir("engine_restart");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   EngineConfig config;
   config.cache_dir = dir;
   const TaskChain chain = ThreeTaskChain();
@@ -650,7 +643,8 @@ TEST(MappingEngineTest, RestartedIncrementalRequestRecapturesTheSweep) {
   // once more (capture) even though disk could answer it — and the
   // perturbed re-solve then reuses the captured prefix, exactly as in a
   // never-restarted process.
-  const std::string dir = ScratchDir("engine_recapture");
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
   EngineConfig config;
   config.cache_dir = dir;
   const TaskChain chain = ThreeTaskChain();

@@ -7,8 +7,8 @@
 // entry — torn eviction, or a mis-keyed disk rehydrate — is caught
 // directly. SingleFlightGroup gets the same treatment: a small hot key
 // space so leaders and followers constantly collide.
-// Compiled twice: into engine_tests, and as cache_stress_tsan with
-// ThreadSanitizer instrumenting the cache sources.
+// Compiled twice: into engine_tests, and into tsan_tests (ctest entry
+// cache_stress_tsan) with ThreadSanitizer instrumenting the cache sources.
 #include "engine/solution_cache.h"
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "engine/cache_persist.h"
 #include "engine/single_flight.h"
 #include "support/thread_pool.h"
+#include "../temp_dir.h"
 
 namespace pipemap {
 namespace {
@@ -80,9 +81,8 @@ TEST(SolutionCacheStressTest, ConcurrentMixedLoadUnderEviction) {
 }
 
 TEST(SolutionCacheStressTest, PersistentTierUnderConcurrentSpillAndLoad) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "pipemap_persist_stress";
-  std::filesystem::remove_all(dir);
+  const testing::ScopedTempDir scratch;
+  const std::filesystem::path dir = scratch.path() / "pipemap_persist_stress";
 
   constexpr std::size_t kCapacity = 16;
   constexpr std::uint64_t kKeyspace = 128;  // 8x capacity: constant spill

@@ -2,18 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "../json_util.h"
+#include "../temp_dir.h"
 
 namespace pipemap::cli {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/pipemap_cli_" + name;
-}
 
 int RunCommand(const std::vector<std::string>& args, std::string* output) {
   std::ostringstream os;
@@ -36,12 +32,11 @@ class CliWorkflow : public ::testing::Test {
         << output;
   }
 
-  void TearDown() override {
-    std::remove(chain_path_.c_str());
-    std::remove(machine_path_.c_str());
-    std::remove(mapping_path_.c_str());
+  std::string TempPath(const std::string& name) const {
+    return scratch_.File(name);
   }
 
+  const testing::ScopedTempDir scratch_;
   std::string chain_path_, machine_path_, mapping_path_;
 };
 
@@ -303,9 +298,6 @@ TEST_F(CliWorkflow, MetricsAndTraceFlagsWriteValidJson) {
   EXPECT_NE(trace.find("\"dp.stage\""), std::string::npos);
   EXPECT_NE(trace.find("\"evaluator.tabulate\""), std::string::npos);
   EXPECT_NE(trace.find("\"pool.worker\""), std::string::npos);
-
-  std::remove(metrics_path.c_str());
-  std::remove(trace_path.c_str());
 }
 
 TEST_F(CliWorkflow, ObservationFlagsDoNotChangeTheMapping) {
@@ -322,7 +314,6 @@ TEST_F(CliWorkflow, ObservationFlagsDoNotChangeTheMapping) {
             0)
       << observed;
   EXPECT_EQ(MappingReport(plain), MappingReport(observed));
-  std::remove(metrics_path.c_str());
 }
 
 TEST_F(CliWorkflow, FrontierAndSizeAcceptMetricsFlag) {
@@ -347,7 +338,6 @@ TEST_F(CliWorkflow, FrontierAndSizeAcceptMetricsFlag) {
   metrics = Slurp(metrics_path);
   EXPECT_TRUE(testing::IsValidJson(metrics)) << metrics;
   EXPECT_NE(metrics.find("\"dp.runs\""), std::string::npos);
-  std::remove(metrics_path.c_str());
 }
 
 TEST_F(CliWorkflow, ReportWritesUnifiedRunReport) {
@@ -383,9 +373,6 @@ TEST_F(CliWorkflow, ReportWritesUnifiedRunReport) {
   const std::string trace = Slurp(trace_path);
   EXPECT_TRUE(testing::IsValidJson(trace)) << trace;
   EXPECT_NE(trace.find("\"sim.compute\""), std::string::npos);
-
-  std::remove(report_path.c_str());
-  std::remove(trace_path.c_str());
 }
 
 TEST_F(CliWorkflow, ReportToStdoutIsValidJson) {
@@ -452,8 +439,6 @@ TEST_F(CliWorkflow, EngineCacheHitYieldsByteIdenticalMapping) {
   // Same prediction report, and the serialized mappings are byte-identical.
   EXPECT_EQ(MappingReport(first), MappingReport(second));
   EXPECT_EQ(Slurp(first_path), Slurp(second_path));
-  std::remove(first_path.c_str());
-  std::remove(second_path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -508,6 +493,22 @@ TEST_F(CliWorkflow, OutOfRangeNumbersFailCleanly) {
                        &output),
             1);
   EXPECT_NE(output.find("invalid numeric value for --noise: '1e999'"),
+            std::string::npos);
+
+  // Below the simulator's one-data-set minimum.
+  EXPECT_EQ(RunCommand({"simulate", "--chain", chain_path_, "--machine",
+                        machine_path_, "--mapping", mapping_path_,
+                        "--datasets", "0"},
+                       &output),
+            1);
+  EXPECT_NE(output.find("invalid integer value for --datasets: '0'"),
+            std::string::npos);
+  EXPECT_NE(output.find("usage:"), std::string::npos);
+  EXPECT_EQ(RunCommand({"report", "--chain", chain_path_, "--machine",
+                        machine_path_, "--datasets", "-3"},
+                       &output),
+            1);
+  EXPECT_NE(output.find("invalid integer value for --datasets: '-3'"),
             std::string::npos);
 }
 

@@ -2,12 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "core/evaluator.h"
 #include "support/error.h"
 #include "workloads/fft_hist.h"
 #include "workloads/synthetic.h"
+#include "../temp_dir.h"
 #include "../test_util.h"
 
 namespace pipemap {
@@ -229,10 +228,10 @@ TEST(MachineSerializationTest, UnknownKeyThrows) {
 }
 
 TEST(FileIoTest, WriteAndReadBack) {
-  const std::string path = ::testing::TempDir() + "/pipemap_io_test.txt";
+  const testing::ScopedTempDir scratch;
+  const std::string path = scratch.File("pipemap_io_test.txt");
   WriteTextFile(path, "hello\nworld\n");
   EXPECT_EQ(ReadTextFile(path), "hello\nworld\n");
-  std::remove(path.c_str());
 }
 
 TEST(FileIoTest, MissingFileThrows) {

@@ -1,6 +1,6 @@
 // The server under PIPEMAP_NO_OBSERVABILITY: this file is compiled only
-// into the server_noobs ctest target, with every library source rebuilt
-// under the define. It proves the observability tentpole is genuinely
+// into noobs_tests (ctest entry server_noobs), with every library source
+// rebuilt under the define. It proves the observability tentpole is genuinely
 // free to compile out — the `metrics` op still answers with a valid
 // (empty-series) exposition, trace-id echo still works (identity is
 // protocol surface, not instrumentation), the SLO window and access log
@@ -21,6 +21,7 @@
 #include "support/json_writer.h"
 #include "support/trace_context.h"
 #include "workloads/synthetic.h"
+#include "../temp_dir.h"
 
 namespace pipemap::server {
 namespace {
@@ -110,7 +111,8 @@ TEST(ServerNoobsTest, TraceIdEchoSurvivesWithoutObservability) {
 TEST(ServerNoobsTest, SloWindowAndAccessLogAreInert) {
   ServerConfig config;
   config.slo_p99_ms = 0.0001;  // would burn instantly if tracked
-  config.access_log_path = "/tmp/pipemap_noobs_never_created.jsonl";
+  const testing::ScopedTempDir scratch;
+  config.access_log_path = scratch.File("pipemap_noobs_never_created.jsonl");
   TestServer ts(std::move(config));
   ServerClient client = ts.Connect();
   ServerRequest ping;

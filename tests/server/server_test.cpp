@@ -13,10 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 
 #include "engine/mapping_engine.h"
@@ -29,6 +26,7 @@
 #include "support/trace_context.h"
 #include "support/tracer.h"
 #include "workloads/synthetic.h"
+#include "../temp_dir.h"
 
 namespace pipemap::server {
 namespace {
@@ -400,10 +398,8 @@ TEST(ServerTest, MetricsOpServesPrometheusExposition) {
 }
 
 TEST(ServerTest, AccessLogHasOneJoinableLinePerRequest) {
-  const std::string path = "/tmp/pipemap_server_access_" +
-                           std::to_string(::getpid()) + ".jsonl";
-  std::remove(path.c_str());
-  std::remove((path + ".1").c_str());
+  const testing::ScopedTempDir scratch;
+  const std::string path = scratch.File("pipemap_server_access.jsonl");
 
   std::uint64_t ping_id = 0;
   {
@@ -455,9 +451,6 @@ TEST(ServerTest, AccessLogHasOneJoinableLinePerRequest) {
   EXPECT_NE(all.find(FormatTraceId(ping_id)), std::string::npos);
   EXPECT_NE(all.find("\"op\": \"map\""), std::string::npos);
   EXPECT_NE(all.find("\"status\": \"invalid_argument\""), std::string::npos);
-
-  std::remove(path.c_str());
-  std::remove((path + ".1").c_str());
 }
 
 TEST(ServerTest, SloWindowTracksRequestsAndBurnsOnBreach) {

@@ -11,6 +11,7 @@
 #include "sim/pipeline_sim.h"
 #include "support/metrics.h"
 #include "../json_util.h"
+#include "../temp_dir.h"
 #include "../test_util.h"
 
 namespace pipemap {
@@ -81,13 +82,14 @@ TEST(RunReportTest, EmbedsMetricsSnapshotAndTracePath) {
   RunReportOptions options;
   options.num_datasets = fx.num_datasets;
   options.metrics = &snapshot;
-  options.trace_path = "/tmp/run.trace.json";
+  const testing::ScopedTempDir scratch;
+  options.trace_path = scratch.File("run.trace.json");
 
   const std::string json = BuildRunReportJson(fx.eval, fx.mapping, fx.result,
                                               fx.attribution, options);
   EXPECT_TRUE(IsValidJson(json)) << json;
   EXPECT_NE(json.find("\"test.report.counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"trace_path\": \"/tmp/run.trace.json\""),
+  EXPECT_NE(json.find("\"trace_path\": \"" + options.trace_path + "\""),
             std::string::npos);
   EXPECT_EQ(json.find("\"metrics\": null"), std::string::npos);
 }

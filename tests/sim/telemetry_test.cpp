@@ -1,7 +1,7 @@
 // Pipeline-runtime telemetry (sim/telemetry.h).
 //
 // This file is compiled twice: into sim_tests (normal build) and into
-// sim_noobs_tests with PIPEMAP_NO_OBSERVABILITY, which recompiles the
+// noobs_tests with PIPEMAP_NO_OBSERVABILITY, which recompiles the
 // whole library tree with the hooks compiled out. The hand-computed
 // simulation results are asserted identically in both binaries — the
 // executable proof that telemetry never perturbs a simulated result —

@@ -1,9 +1,7 @@
 #include "support/access_log.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -11,28 +9,22 @@
 #include <vector>
 
 #include "support/error.h"
+#include "../temp_dir.h"
 
 namespace pipemap {
 namespace {
 
-/// Unique-ish path per test under /tmp; removed on destruction along with
-/// the one rotation the logger may have produced.
+/// A log path in a per-test scratch directory, removed on destruction
+/// along with the one rotation the logger may have produced.
 class TempLogPath {
  public:
   explicit TempLogPath(const std::string& tag)
-      : path_("/tmp/pipemap_access_log_" + tag + "_" +
-              std::to_string(::getpid()) + ".jsonl") {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".1").c_str());
-  }
-  ~TempLogPath() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".1").c_str());
-  }
+      : path_(dir_.File("pipemap_access_log_" + tag + ".jsonl")) {}
   const std::string& str() const { return path_; }
 
  private:
-  std::string path_;
+  const testing::ScopedTempDir dir_;
+  const std::string path_;
 };
 
 std::vector<std::string> ReadLines(const std::string& path) {
@@ -144,6 +136,7 @@ TEST(AccessLogTest, ConcurrentAppendersLoseNothingWithRoomyQueue) {
 }
 
 TEST(AccessLogTest, InvalidOptionsThrow) {
+  const testing::ScopedTempDir scratch;
   EXPECT_THROW(
       {
         AccessLogger::Options options;  // empty path
@@ -153,7 +146,7 @@ TEST(AccessLogTest, InvalidOptionsThrow) {
   EXPECT_THROW(
       {
         AccessLogger::Options options;
-        options.path = "/tmp/pipemap_access_log_zero.jsonl";
+        options.path = scratch.File("pipemap_access_log_zero.jsonl");
         options.queue_capacity = 0;
         AccessLogger log(options);
       },

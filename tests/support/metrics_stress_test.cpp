@@ -1,6 +1,6 @@
 // Concurrent metrics stress: snapshots racing live writers. Built twice —
-// into support_tests and (like cache_stress_tsan) as its own
-// ThreadSanitizer target `metrics_stress_tsan` — so ctest certifies the
+// into support_tests and into the ThreadSanitizer binary tsan_tests (ctest
+// entry `metrics_stress_tsan`) — so ctest certifies the
 // registry's sharded counters/gauges/histograms and the snapshot
 // aggregation race-free while the server scrapes `metrics` mid-load.
 #include <gtest/gtest.h>
