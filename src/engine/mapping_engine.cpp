@@ -7,6 +7,9 @@
 #include <optional>
 #include <utility>
 
+#include "core/brute_force.h"
+#include "core/dp_mapper.h"
+#include "core/greedy_mapper.h"
 #include "engine/fingerprint.h"
 #include "io/serialize.h"
 #include "machine/feasible.h"
@@ -18,6 +21,18 @@
 #include "support/tracer.h"
 
 namespace pipemap {
+
+const char* ToString(MapObjective objective) {
+  switch (objective) {
+    case MapObjective::kThroughput:
+      return "throughput";
+    case MapObjective::kLatency:
+      return "latency";
+    case MapObjective::kLatencyWithFloor:
+      return "latency_with_floor";
+  }
+  return "unknown";
+}
 
 const char* ToString(SolverPolicy policy) {
   switch (policy) {
@@ -35,6 +50,30 @@ const char* ToString(SolverPolicy policy) {
   return "unknown";
 }
 
+void SetPolicyByName(std::string_view algorithm, std::string_view objective,
+                     std::optional<double> floor, MapRequest* request) {
+  if (objective == "latency") {
+    request->solver = SolverPolicy::kLatency;
+    request->objective =
+        floor ? MapObjective::kLatencyWithFloor : MapObjective::kLatency;
+    if (floor) request->min_throughput = *floor;
+    return;
+  }
+  if (objective != "throughput") {
+    throw InvalidArgument("unknown objective: " + std::string(objective));
+  }
+  request->objective = MapObjective::kThroughput;
+  for (const SolverPolicy policy : {SolverPolicy::kAuto, SolverPolicy::kDp,
+                                    SolverPolicy::kGreedy,
+                                    SolverPolicy::kBrute}) {
+    if (algorithm == ToString(policy)) {
+      request->solver = policy;
+      return;
+    }
+  }
+  throw InvalidArgument("unknown algorithm: " + std::string(algorithm));
+}
+
 namespace {
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -43,11 +82,91 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-const Solver& NamedSolver(std::string_view name) {
-  const Solver* solver = SolverRegistry::Global().Find(name);
-  PIPEMAP_CHECK(solver != nullptr,
-                "MappingEngine: solver not registered: " + std::string(name));
-  return *solver;
+/// Whether the one solver `stage` names can answer `objective`: the DP
+/// and greedy maximize throughput, the latency DP minimizes latency, and
+/// the exhaustive reference does either.
+bool StageSupports(SolverPolicy stage, MapObjective objective) {
+  switch (stage) {
+    case SolverPolicy::kDp:
+    case SolverPolicy::kGreedy:
+      return objective == MapObjective::kThroughput;
+    case SolverPolicy::kLatency:
+      return objective != MapObjective::kThroughput;
+    case SolverPolicy::kBrute:
+      return true;
+    case SolverPolicy::kAuto:
+      break;
+  }
+  return false;
+}
+
+/// Sets the numbers every response reports for `mapping`: throughput,
+/// latency, and the objective value (bottleneck effective response in
+/// seconds for throughput, path latency in seconds otherwise).
+void Score(const Evaluator& eval, const Mapping& mapping,
+           MapObjective objective, MapResponse* out) {
+  out->throughput = eval.Throughput(mapping);
+  out->latency = eval.Latency(mapping);
+  out->objective_value = objective == MapObjective::kThroughput
+                             ? eval.BottleneckResponse(mapping)
+                             : out->latency;
+}
+
+/// Runs the one solver `stage` names and normalizes its result: the
+/// mapping, its Score, work, pruned cells, and whether the deadline
+/// interrupted it. Solvers throw pipemap::Infeasible/ResourceLimit.
+MapResponse RunStage(SolverPolicy stage, const MapRequest& request,
+                     const Evaluator& eval, int procs,
+                     const MapperOptions& options) {
+  MapResult r;
+  const auto take = [&r](auto&& latency_result) {
+    r.mapping = std::move(latency_result.mapping);
+    r.work = latency_result.work;
+    r.timed_out = latency_result.timed_out;
+  };
+  const bool floored = request.objective == MapObjective::kLatencyWithFloor;
+  switch (stage) {
+    case SolverPolicy::kDp:  // exact throughput (paper Section 3)
+      PIPEMAP_COUNTER_ADD("engine.solver.dp", 1);
+      r = DpMapper(options).Map(eval, procs);
+      break;
+    case SolverPolicy::kGreedy: {  // heuristic throughput (Section 4)
+      PIPEMAP_COUNTER_ADD("engine.solver.greedy", 1);
+      GreedyOptions greedy;
+      greedy.base = options;
+      r = GreedyMapper(greedy).Map(eval, procs);
+      break;
+    }
+    case SolverPolicy::kBrute: {  // exhaustive reference, any objective
+      PIPEMAP_COUNTER_ADD("engine.solver.brute", 1);
+      BruteForceOptions brute;
+      brute.base = options;
+      if (request.objective == MapObjective::kThroughput) {
+        r = BruteForceMapper(brute).Map(eval, procs);
+      } else {
+        take(BruteForceMinLatency(
+            eval, procs, floored ? request.min_throughput : 0.0, brute));
+      }
+      break;
+    }
+    case SolverPolicy::kLatency: {  // exact latency, optionally floored
+      PIPEMAP_COUNTER_ADD("engine.solver.latency", 1);
+      const LatencyMapper mapper(options);
+      take(floored ? mapper.MinLatencyWithThroughput(eval, procs,
+                                                     request.min_throughput)
+                   : mapper.MinLatency(eval, procs));
+      break;
+    }
+    case SolverPolicy::kAuto:
+      PIPEMAP_CHECK(false, "MappingEngine: kAuto is not a solver");
+  }
+  MapResponse result;
+  Score(eval, r.mapping, request.objective, &result);
+  result.mapping = std::move(r.mapping);
+  result.work = r.work;
+  result.pruned_cells = r.pruned_cells;
+  result.timed_out = r.timed_out;
+  return result;
 }
 
 int ResolveProcs(const MapRequest& request) {
@@ -280,25 +399,19 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
                             flight_leader ? flight : nullptr);
 
   // Cold path: resolve options, build the evaluator, run the portfolio.
-  SolveRequest solve;
-  solve.total_procs = procs;
-  solve.objective = request.objective;
-  solve.min_throughput = request.min_throughput;
-  solve.options = ResolveOptions(request);
+  MapperOptions options = ResolveOptions(request);
   // A binding budget (positive finite; 0/unset means unlimited — see
   // MapRequest::time_budget_s) becomes a cooperative deadline threaded
   // into the solver inner loops, anchored at this request's start so the
   // in-solver checks and the between-stage check below agree. An
   // explicitly supplied options.deadline wins (the caller measured its own
   // anchor).
-  if (!solve.options.deadline && has_budget) {
-    solve.options.deadline =
-        Deadline::AfterAnchor(start, request.time_budget_s);
+  if (!options.deadline && has_budget) {
+    options.deadline = Deadline::AfterAnchor(start, request.time_budget_s);
   }
   const Evaluator eval(*request.chain, procs,
                        request.machine.node_memory_bytes,
-                       solve.options.num_threads);
-  solve.eval = &eval;
+                       options.num_threads);
 
   // One warm-start state threads greedy's incumbent into the DP (and any
   // caller-provided state carries across engine calls on the same chain).
@@ -307,11 +420,10 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   // sweep inside validates the chain's cost content itself (hash-based)
   // and reuses whatever prefix is still clean, so a remap after a cost
   // perturbation re-sweeps only the dirty suffix.
-  std::shared_ptr<WarmStartState> warm = solve.options.warm;
+  std::shared_ptr<WarmStartState> warm = options.warm;
   std::uint64_t warm_key = 0;
   bool pooled_warm = false;
-  if (!warm && solve.options.incremental &&
-      !request.options.proc_feasible) {
+  if (!warm && options.incremental && !request.options.proc_feasible) {
     warm_key = WarmPoolKey(request, procs);
     std::lock_guard<std::mutex> lock(sweep_mu_);
     const auto it = warm_pool_.find(warm_key);
@@ -330,7 +442,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   if (!warm) {
     warm = std::make_shared<WarmStartState>();
   }
-  solve.options.warm = warm;
+  options.warm = warm;
   const std::uint64_t built0 = warm->tables_built;
   const std::uint64_t reused0 = warm->tables_reused;
   const std::uint64_t seeded0 = warm->incumbents_seeded;
@@ -338,41 +450,26 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   const std::uint64_t prefix0 = warm->prefix_reused;
 
   // Portfolio stage list.
-  std::vector<const Solver*> stages;
-  switch (request.solver) {
-    case SolverPolicy::kDp:
-      stages.push_back(&NamedSolver("dp"));
-      break;
-    case SolverPolicy::kGreedy:
-      stages.push_back(&NamedSolver("greedy"));
-      break;
-    case SolverPolicy::kBrute:
-      stages.push_back(&NamedSolver("brute"));
-      break;
-    case SolverPolicy::kLatency:
-      stages.push_back(&NamedSolver("latency"));
-      break;
-    case SolverPolicy::kAuto:
-      if (request.objective == MapObjective::kThroughput) {
-        stages.push_back(&NamedSolver("greedy"));
-        stages.push_back(&NamedSolver("dp"));
-        if (request.chain->size() <= config_.brute_max_tasks &&
-            procs <= config_.brute_max_procs) {
-          stages.push_back(&NamedSolver("brute"));
-        }
-      } else {
-        stages.push_back(&NamedSolver("latency"));
-      }
-      break;
+  std::vector<SolverPolicy> stages;
+  if (request.solver != SolverPolicy::kAuto) {
+    stages.push_back(request.solver);
+  } else if (request.objective == MapObjective::kThroughput) {
+    stages = {SolverPolicy::kGreedy, SolverPolicy::kDp};
+    if (request.chain->size() <= config_.brute_max_tasks &&
+        procs <= config_.brute_max_procs) {
+      stages.push_back(SolverPolicy::kBrute);
+    }
+  } else {
+    stages.push_back(SolverPolicy::kLatency);
   }
 
-  std::optional<SolveResult> best;
+  std::optional<MapResponse> best;
   std::string ran;
   std::exception_ptr last_error;
   for (std::size_t i = 0; i < stages.size(); ++i) {
-    const Solver& stage = *stages[i];
-    PIPEMAP_CHECK(stage.Supports(request.objective),
-                  "MappingEngine: solver '" + std::string(stage.name()) +
+    const SolverPolicy stage = stages[i];
+    PIPEMAP_CHECK(StageSupports(stage, request.objective),
+                  "MappingEngine: solver '" + std::string(ToString(stage)) +
                       "' does not support objective " +
                       ToString(request.objective));
     if (i > 0 && has_budget && SecondsSince(start) > request.time_budget_s) {
@@ -380,12 +477,14 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
       break;
     }
     try {
-      SolveResult result = stage.Solve(solve);
+      MapResponse result = RunStage(stage, request, eval, procs, options);
       if (!ran.empty()) ran += "+";
-      ran += stage.name();
+      ran += ToString(stage);
       // A stage the deadline interrupted returned an incumbent, not a
-      // certified optimum: it cannot claim exactness or win ties.
-      const bool stage_exact = stage.exact() && !result.timed_out;
+      // certified optimum: it cannot claim exactness or win ties. Every
+      // solver but greedy is exact.
+      const bool stage_exact =
+          stage != SolverPolicy::kGreedy && !result.timed_out;
       response.timed_out = response.timed_out || result.timed_out;
       // Keep the better objective; an exact solver's result wins ties so
       // the response can claim optimality.
@@ -461,6 +560,26 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
     publisher.Publish(std::move(entry));
   }
   return response;
+}
+
+PlacedMapping MappingEngine::MapAndPlace(const MapRequest& request) {
+  MapResponse response = Map(request);
+  Evaluator eval(*request.chain, ResolveProcs(request),
+                 request.machine.node_memory_bytes,
+                 request.options.num_threads);
+  Mapping mapping =
+      request.machine_feasibility
+          ? FeasibilityChecker(request.machine)
+                .MakeFeasible(response.mapping, eval)
+          : response.mapping;
+  if (mapping != response.mapping) {
+    // Placement dropped replicas: report what the returned mapping does,
+    // which no solver certified.
+    Score(eval, mapping, request.objective, &response);
+    response.exact = false;
+  }
+  return PlacedMapping{std::move(response), std::move(eval),
+                       std::move(mapping)};
 }
 
 std::vector<FrontierPoint> MappingEngine::Frontier(const MapRequest& request,

@@ -17,7 +17,9 @@
 //     result. Escalation stops when the request's time budget is spent,
 //     in which case the response is marked inexact.
 //   * kAuto (latency objectives): the latency DP directly.
-//   * kDp / kGreedy / kBrute / kLatency: exactly that registry solver.
+//   * kDp / kGreedy / kBrute / kLatency: exactly that one solver. Only
+//     kBrute and kLatency answer the latency objectives; a policy asked
+//     for an objective its solver cannot answer is rejected.
 //
 // Caching: requests without a custom feasibility predicate are
 // fingerprinted over the canonical serializations of the chain, machine,
@@ -45,19 +47,33 @@
 #include <deque>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "core/evaluator.h"
 #include "core/latency_mapper.h"
 #include "core/mapper.h"
 #include "core/task.h"
 #include "engine/single_flight.h"
 #include "engine/solution_cache.h"
-#include "engine/solver.h"
 #include "machine/machine.h"
 
 namespace pipemap {
+
+/// What the caller wants optimized.
+enum class MapObjective {
+  /// Maximize throughput (minimize the bottleneck effective response).
+  kThroughput,
+  /// Minimize one data set's traversal latency.
+  kLatency,
+  /// Minimize latency subject to throughput >= min_throughput.
+  kLatencyWithFloor,
+};
+
+const char* ToString(MapObjective objective);
 
 /// Which solver(s) the engine may use for a request.
 enum class SolverPolicy {
@@ -109,6 +125,18 @@ struct MapRequest {
   /// explicitly supplied options.deadline takes precedence.
   double time_budget_s = 0.0;
 };
+
+/// Sets `request`'s solver, objective and floor from the policy names the
+/// CLI (--algorithm, --objective, --floor) and the server protocol
+/// (algorithm, objective, floor) accept; each boundary supplies its own
+/// defaults. Objective "latency" runs the latency solver whatever the
+/// algorithm, under `floor` when one is given. Objective "throughput" runs
+/// the solver `algorithm` names, the inverse of ToString(SolverPolicy):
+/// "auto", "dp", "greedy" or "brute". Any other name throws
+/// pipemap::InvalidArgument ("unknown objective: …", "unknown algorithm:
+/// …").
+void SetPolicyByName(std::string_view algorithm, std::string_view objective,
+                     std::optional<double> floor, MapRequest* request);
 
 /// A solved mapping plus provenance.
 struct MapResponse {
@@ -163,6 +191,21 @@ struct MapResponse {
   std::string ToJson() const;
 };
 
+/// A request solved by MappingEngine::Map and placed on its machine.
+struct PlacedMapping {
+  /// The engine's answer; `response.mapping` is the solve as the engine
+  /// returned and cached it. The numbers describe `mapping`: when
+  /// placement changed it, throughput, latency and objective_value are
+  /// re-evaluated for the placed mapping and `exact` is false.
+  MapResponse response;
+  /// The chain's cost tables on the request's processor budget.
+  Evaluator eval;
+  /// The mapping to run: with MapRequest::machine_feasibility set, the
+  /// solve with replicas dropped until it packs onto the machine
+  /// (FeasibilityChecker::MakeFeasible); otherwise the solve itself.
+  Mapping mapping;
+};
+
 /// Warm-start activity across an engine-driven sweep (Frontier/MinProcs).
 struct SweepStats {
   std::uint64_t solves = 0;
@@ -205,6 +248,10 @@ class MappingEngine {
   /// pipemap::InvalidArgument on malformed requests and propagates the
   /// solvers' Infeasible/ResourceLimit.
   MapResponse Map(const MapRequest& request);
+
+  /// Map, then place the solve on the machine. The one path from a
+  /// request to a runnable mapping, shared by the CLI and the server.
+  PlacedMapping MapAndPlace(const MapRequest& request);
 
   /// The latency/throughput Pareto frontier on the request's machine and
   /// budget. All solves in the sweep share one warm-start state (range

@@ -15,7 +15,6 @@
 #include "core/evaluator.h"
 #include "engine/mapping_engine.h"
 #include "io/serialize.h"
-#include "machine/feasible.h"
 #include "sim/attribution.h"
 #include "sim/pipeline_sim.h"
 #include "sim/run_report.h"
@@ -52,36 +51,6 @@ std::string ErrorJson(std::string_view code, std::string_view detail,
   if (trace_id != 0) w.Key("trace_id").String(FormatTraceId(trace_id));
   w.EndObject();
   return w.str();
-}
-
-/// Solver policy and objective fields, mirroring the CLI's --algorithm /
-/// --objective / --floor mapping.
-void ApplyPolicy(const ServerRequest& req, MapRequest* out) {
-  if (req.objective == "latency") {
-    out->solver = SolverPolicy::kLatency;
-    if (req.floor > 0.0) {
-      out->objective = MapObjective::kLatencyWithFloor;
-      out->min_throughput = req.floor;
-    } else {
-      out->objective = MapObjective::kLatency;
-    }
-    return;
-  }
-  if (req.objective != "throughput") {
-    throw InvalidArgument("unknown objective: " + req.objective);
-  }
-  out->objective = MapObjective::kThroughput;
-  if (req.algorithm == "dp") {
-    out->solver = SolverPolicy::kDp;
-  } else if (req.algorithm == "greedy") {
-    out->solver = SolverPolicy::kGreedy;
-  } else if (req.algorithm == "auto") {
-    out->solver = SolverPolicy::kAuto;
-  } else if (req.algorithm == "brute") {
-    out->solver = SolverPolicy::kBrute;
-  } else {
-    throw InvalidArgument("unknown algorithm: " + req.algorithm);
-  }
 }
 
 /// The `overloaded` error document: same shape as ErrorJson plus the
@@ -332,6 +301,23 @@ void PipemapServer::ApplyBrownout(MapRequest* mr) {
   PIPEMAP_COUNTER_ADD("server.degraded", 1);
 }
 
+std::string PipemapServer::Refuse(std::uint64_t ServerCounters::*counter,
+                                  std::string_view status,
+                                  std::string response,
+                                  std::uint64_t trace_id,
+                                  const std::string& op,
+                                  std::size_t bytes_in, double total_s) {
+  {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    ++(counters_.*counter);
+  }
+  RequestOutcome outcome;
+  outcome.status = status;
+  FinishRequest(trace_id, op, outcome, bytes_in, response.size(), 0.0, 0.0,
+                total_s);
+  return response;
+}
+
 void PipemapServer::ReapFinishedConnections() {
   std::vector<std::unique_ptr<Connection>> finished;
   {
@@ -409,19 +395,13 @@ void PipemapServer::ConnectionLoop(Connection* conn) {
       PIPEMAP_COUNTER_ADD("server.idle_timeouts", 1);
       break;  // stalled peer: free the slot
     } catch (const FrameTooLarge& e) {
-      {
-        std::lock_guard<std::mutex> lock(counters_mu_);
-        ++counters_.parse_errors;
-      }
       // The frame never parsed, so the client's trace_id (if any) is
       // unreadable; a generated id still makes the failure joinable
       // between the response and the access log.
       const std::uint64_t tid = GenerateTraceId();
-      response = ErrorJson("frame_too_large", e.what(), tid);
-      RequestOutcome outcome;
-      outcome.status = "frame_too_large";
-      FinishRequest(tid, "unknown", outcome, 0, response.size(), 0.0, 0.0,
-                    0.0);
+      response = Refuse(&ServerCounters::parse_errors, "frame_too_large",
+                        ErrorJson("frame_too_large", e.what(), tid), tid,
+                        "unknown", 0, 0.0);
     } catch (const std::exception&) {
       break;  // mid-frame EOF or socket error: the stream is gone
     }
@@ -450,17 +430,11 @@ void PipemapServer::ConnectionLoop(Connection* conn) {
         if (Tracer::Enabled()) job->admitted_ns = Tracer::NowNs();
 #endif
       } catch (const std::exception& e) {
-        {
-          std::lock_guard<std::mutex> lock(counters_mu_);
-          ++counters_.parse_errors;
-        }
         const std::uint64_t tid = GenerateTraceId();
-        response = ErrorJson("invalid_argument", e.what(), tid);
-        RequestOutcome outcome;
-        outcome.status = "invalid_argument";
-        FinishRequest(tid, "unknown", outcome, payload.size(),
-                      response.size(), 0.0, 0.0,
-                      SecondsBetween(received, Clock::now()));
+        response = Refuse(&ServerCounters::parse_errors, "invalid_argument",
+                          ErrorJson("invalid_argument", e.what(), tid), tid,
+                          "unknown", payload.size(),
+                          SecondsBetween(received, Clock::now()));
       }
 
       if (job != nullptr) {
@@ -502,43 +476,26 @@ void PipemapServer::ConnectionLoop(Connection* conn) {
             ++counters_.accepted;
           }
           response = future.get();
-        } else if (shed) {
-          {
-            std::lock_guard<std::mutex> lock(counters_mu_);
-            ++counters_.shed;
-          }
-          response = OverloadedJson(retry_after_ms, job->request.trace_id);
-          RequestOutcome outcome;
-          outcome.status = "overloaded";
-          FinishRequest(job->request.trace_id, job->request.op, outcome,
-                        job->bytes_in, response.size(), 0.0, 0.0,
-                        SecondsBetween(received, Clock::now()));
-        } else if (drained) {
-          {
-            std::lock_guard<std::mutex> lock(counters_mu_);
-            ++counters_.drained;
-          }
-          response = ErrorJson("draining",
-                               "server is draining; request refused",
-                               job->request.trace_id);
-          RequestOutcome outcome;
-          outcome.status = "draining";
-          FinishRequest(job->request.trace_id, job->request.op, outcome,
-                        job->bytes_in, response.size(), 0.0, 0.0,
-                        SecondsBetween(received, Clock::now()));
         } else {
-          PIPEMAP_COUNTER_ADD("server.rejected", 1);
-          {
-            std::lock_guard<std::mutex> lock(counters_mu_);
-            ++counters_.rejected;
+          const std::uint64_t tid = job->request.trace_id;
+          const double total_s = SecondsBetween(received, Clock::now());
+          if (shed) {
+            response = Refuse(&ServerCounters::shed, "overloaded",
+                              OverloadedJson(retry_after_ms, tid), tid,
+                              job->request.op, job->bytes_in, total_s);
+          } else if (drained) {
+            response = Refuse(&ServerCounters::drained, "draining",
+                              ErrorJson("draining",
+                                        "server is draining; request refused",
+                                        tid),
+                              tid, job->request.op, job->bytes_in, total_s);
+          } else {
+            PIPEMAP_COUNTER_ADD("server.rejected", 1);
+            response = Refuse(&ServerCounters::rejected, "rejected",
+                              ErrorJson("rejected", "admission queue is full",
+                                        tid),
+                              tid, job->request.op, job->bytes_in, total_s);
           }
-          response = ErrorJson("rejected", "admission queue is full",
-                               job->request.trace_id);
-          RequestOutcome outcome;
-          outcome.status = "rejected";
-          FinishRequest(job->request.trace_id, job->request.op, outcome,
-                        job->bytes_in, response.size(), 0.0, 0.0,
-                        SecondsBetween(received, Clock::now()));
         }
       }
     }
@@ -595,6 +552,12 @@ void PipemapServer::WorkerLoop() {
     const double solve_s = SecondsBetween(start, done);
     const double total_s = SecondsBetween(job->admitted, done);
     const std::size_t bytes_out = response.size();
+    {
+      // Counted before the client can see the response, so a client that
+      // reads `stats` after its reply always finds its request completed.
+      std::lock_guard<std::mutex> lock(counters_mu_);
+      ++counters_.completed;
+    }
     job->response.set_value(std::move(response));
 
 #if !defined(PIPEMAP_NO_OBSERVABILITY)
@@ -624,10 +587,6 @@ void PipemapServer::WorkerLoop() {
     PIPEMAP_HISTOGRAM_RECORD("server.request_us", total_s * 1e6);
     PIPEMAP_HISTOGRAM_RECORD("server.queue_wait_us", queue_wait_s * 1e6);
     PIPEMAP_HISTOGRAM_RECORD("server.solve_us", solve_s * 1e6);
-    {
-      std::lock_guard<std::mutex> lock(counters_mu_);
-      ++counters_.completed;
-    }
     FinishRequest(job->request.trace_id, job->request.op, outcome,
                   job->bytes_in, bytes_out, queue_wait_s, solve_s, total_s);
   }
@@ -719,35 +678,10 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
     throw InvalidArgument("op map needs chain and machine sections");
   }
   const TaskChain chain = ParseChain(request.chain_text);
-  const MachineConfig machine = ParseMachine(request.machine_text);
-
-  MapRequest mr;
-  mr.chain = &chain;
-  mr.machine = machine;
-  mr.total_procs = request.procs > 0 ? request.procs : machine.total_procs();
-  mr.options.num_threads = request.threads;
-  mr.use_cache = request.use_cache;
-  mr.time_budget_s = budget_s;  // 0 = no deadline (Deadline::HasBudget)
-  mr.trace_id = request.trace_id;
-  ApplyPolicy(request, &mr);
-  if (outcome->degraded) ApplyBrownout(&mr);
-
-  const MapResponse response = engine_->Map(mr);
-  const Evaluator eval(chain, mr.total_procs, machine.node_memory_bytes,
-                       request.threads);
-  const Mapping mapping =
-      FeasibilityChecker(machine).MakeFeasible(response.mapping, eval);
-
-  const bool deadline_expired = response.timed_out || response.budget_exhausted;
-  if (deadline_expired) {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.timed_out;
-  }
-  outcome->solver = response.solver;
-  outcome->cache_hit = response.cache_hit;
-  outcome->cache_tier = response.cache_tier;
-  outcome->shared_solve = response.shared_solve;
-  outcome->timed_out = deadline_expired;
+  const PlacedMapping placed =
+      SolveAndPlace(request, chain, ParseMachine(request.machine_text),
+                    budget_s, outcome);
+  const MapResponse& response = placed.response;
 
   JsonWriter w;
   w.BeginObject();
@@ -755,7 +689,7 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   w.Key("op").String("map");
   w.Key("degraded").Bool(outcome->degraded);
   w.Key("trace_id").String(FormatTraceId(request.trace_id));
-  w.Key("mapping").String(SerializeMapping(mapping));
+  w.Key("mapping").String(SerializeMapping(placed.mapping));
   w.Key("objective_value").Double(response.objective_value);
   w.Key("throughput").Double(response.throughput);
   w.Key("latency").Double(response.latency);
@@ -766,10 +700,43 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   w.Key("shared_solve").Bool(response.shared_solve);
   w.Key("timed_out").Bool(response.timed_out);
   w.Key("budget_exhausted").Bool(response.budget_exhausted);
-  w.Key("deadline_expired").Bool(deadline_expired);
+  w.Key("deadline_expired").Bool(outcome->timed_out);
   w.Key("solve_seconds").Double(response.solve_seconds);
   w.EndObject();
   return w.str();
+}
+
+PlacedMapping PipemapServer::SolveAndPlace(const ServerRequest& request,
+                                           const TaskChain& chain,
+                                           const MachineConfig& machine,
+                                           double budget_s,
+                                           RequestOutcome* outcome) {
+  MapRequest mr;
+  mr.chain = &chain;
+  mr.machine = machine;
+  mr.total_procs = request.procs > 0 ? request.procs : machine.total_procs();
+  mr.options.num_threads = request.threads;
+  mr.use_cache = request.use_cache;
+  mr.time_budget_s = budget_s;  // 0 = no deadline (Deadline::HasBudget)
+  mr.trace_id = request.trace_id;
+  SetPolicyByName(request.algorithm, request.objective,
+                  request.floor > 0.0 ? std::optional<double>(request.floor)
+                                      : std::nullopt,
+                  &mr);
+  if (outcome->degraded) ApplyBrownout(&mr);
+
+  PlacedMapping placed = engine_->MapAndPlace(mr);
+  const MapResponse& response = placed.response;
+  outcome->solver = response.solver;
+  outcome->cache_hit = response.cache_hit;
+  outcome->cache_tier = response.cache_tier;
+  outcome->shared_solve = response.shared_solve;
+  outcome->timed_out = response.timed_out || response.budget_exhausted;
+  if (outcome->timed_out) {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    ++counters_.timed_out;
+  }
+  return placed;
 }
 
 std::string PipemapServer::HandleSimulate(const ServerRequest& request) {
@@ -806,24 +773,11 @@ std::string PipemapServer::HandleReport(const ServerRequest& request,
     throw InvalidArgument("op report needs chain and machine sections");
   }
   const TaskChain chain = ParseChain(request.chain_text);
-  const MachineConfig machine = ParseMachine(request.machine_text);
-
-  MapRequest mr;
-  mr.chain = &chain;
-  mr.machine = machine;
-  mr.total_procs = request.procs > 0 ? request.procs : machine.total_procs();
-  mr.options.num_threads = request.threads;
-  mr.use_cache = request.use_cache;
-  mr.time_budget_s = budget_s;
-  mr.trace_id = request.trace_id;
-  ApplyPolicy(request, &mr);
-  if (outcome->degraded) ApplyBrownout(&mr);
-
-  const MapResponse response = engine_->Map(mr);
-  const Evaluator eval(chain, mr.total_procs, machine.node_memory_bytes,
-                       request.threads);
-  const Mapping mapping =
-      FeasibilityChecker(machine).MakeFeasible(response.mapping, eval);
+  const PlacedMapping placed =
+      SolveAndPlace(request, chain, ParseMachine(request.machine_text),
+                    budget_s, outcome);
+  const Evaluator& eval = placed.eval;
+  const Mapping& mapping = placed.mapping;
 
   const SimOptions options = BuildSimOptions(request);
   const SimResult result = PipelineSimulator(chain).Run(mapping, options);
@@ -835,25 +789,14 @@ std::string PipemapServer::HandleReport(const ServerRequest& request,
   const std::string report =
       BuildRunReportJson(eval, mapping, result, attribution, report_options);
 
-  const bool deadline_expired = response.timed_out || response.budget_exhausted;
-  if (deadline_expired) {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.timed_out;
-  }
-  outcome->solver = response.solver;
-  outcome->cache_hit = response.cache_hit;
-  outcome->cache_tier = response.cache_tier;
-  outcome->shared_solve = response.shared_solve;
-  outcome->timed_out = deadline_expired;
-
   JsonWriter w;
   w.BeginObject();
   w.Key("ok").Bool(true);
   w.Key("op").String("report");
   w.Key("degraded").Bool(outcome->degraded);
   w.Key("trace_id").String(FormatTraceId(request.trace_id));
-  w.Key("solver").String(response.solver);
-  w.Key("timed_out").Bool(deadline_expired);
+  w.Key("solver").String(placed.response.solver);
+  w.Key("timed_out").Bool(outcome->timed_out);
   w.Key("report").Raw(report);
   w.EndObject();
   return w.str();

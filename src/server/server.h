@@ -52,6 +52,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -63,7 +64,10 @@
 
 namespace pipemap {
 class MappingEngine;
+class TaskChain;
+struct MachineConfig;
 struct MapRequest;
+struct PlacedMapping;
 }  // namespace pipemap
 
 namespace pipemap::server {
@@ -228,6 +232,14 @@ class PipemapServer {
                               RequestOutcome* outcome);
   std::string HandleMap(const ServerRequest& request, double budget_s,
                         RequestOutcome* outcome);
+  /// The map and report ops' solve: the request's policy and budget
+  /// (downgraded in brownout) through MappingEngine::MapAndPlace, with
+  /// the solve recorded in `outcome` and the timed_out counter. `chain`
+  /// must outlive the returned evaluator.
+  PlacedMapping SolveAndPlace(const ServerRequest& request,
+                              const TaskChain& chain,
+                              const MachineConfig& machine, double budget_s,
+                              RequestOutcome* outcome);
   std::string HandleSimulate(const ServerRequest& request);
   std::string HandleReport(const ServerRequest& request, double budget_s,
                            RequestOutcome* outcome);
@@ -245,6 +257,13 @@ class PipemapServer {
                      const RequestOutcome& outcome, std::size_t bytes_in,
                      std::size_t bytes_out, double queue_wait_s,
                      double solve_s, double total_s);
+
+  /// Refuses a request before it reaches a worker: bumps `counter`,
+  /// logs the request with `status`, and returns `response` to send.
+  std::string Refuse(std::uint64_t ServerCounters::*counter,
+                     std::string_view status, std::string response,
+                     std::uint64_t trace_id, const std::string& op,
+                     std::size_t bytes_in, double total_s);
 
   void ReapFinishedConnections();
 

@@ -6,6 +6,7 @@
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/latency_mapper.h"
@@ -56,25 +57,46 @@ MapRequest RequestFor(const TaskChain& chain, const MachineConfig& machine) {
 }
 
 TEST(SolverRegistryTest, BuiltInSolversAreRegistered) {
-  for (const char* name : {"dp", "greedy", "brute", "latency"}) {
-    const Solver* solver = SolverRegistry::Global().Find(name);
-    ASSERT_NE(solver, nullptr) << name;
-    EXPECT_EQ(solver->name(), name);
+  // The names the CLI and the server share resolve to the policy whose
+  // ToString is that name.
+  for (const char* name : {"dp", "greedy", "brute", "auto"}) {
+    MapRequest request;
+    SetPolicyByName(name, "throughput", std::nullopt, &request);
+    EXPECT_STREQ(ToString(request.solver), name);
+    EXPECT_EQ(request.objective, MapObjective::kThroughput);
   }
-  EXPECT_EQ(SolverRegistry::Global().Find("nonsense"), nullptr);
+  MapRequest latency;
+  SetPolicyByName("dp", "latency", std::nullopt, &latency);
+  EXPECT_STREQ(ToString(latency.solver), "latency");
+  EXPECT_EQ(latency.objective, MapObjective::kLatency);
+  SetPolicyByName("auto", "latency", 40.0, &latency);
+  EXPECT_EQ(latency.objective, MapObjective::kLatencyWithFloor);
+  EXPECT_EQ(latency.min_throughput, 40.0);
+
+  MapRequest rejected;
+  EXPECT_THROW(
+      SetPolicyByName("nonsense", "throughput", std::nullopt, &rejected),
+      InvalidArgument);
+  EXPECT_THROW(SetPolicyByName("dp", "nonsense", std::nullopt, &rejected),
+               InvalidArgument);
 }
 
 TEST(SolverRegistryTest, CapabilitiesMatchTheAlgorithms) {
-  const SolverRegistry& registry = SolverRegistry::Global();
-  EXPECT_TRUE(registry.Find("dp")->Supports(MapObjective::kThroughput));
-  EXPECT_FALSE(registry.Find("dp")->Supports(MapObjective::kLatency));
-  EXPECT_FALSE(registry.Find("greedy")->Supports(MapObjective::kLatency));
-  EXPECT_TRUE(registry.Find("brute")->Supports(MapObjective::kLatency));
-  EXPECT_TRUE(
-      registry.Find("latency")->Supports(MapObjective::kLatencyWithFloor));
-  EXPECT_FALSE(registry.Find("latency")->Supports(MapObjective::kThroughput));
-  EXPECT_TRUE(registry.Find("dp")->exact());
-  EXPECT_FALSE(registry.Find("greedy")->exact());
+  const TaskChain chain = ThreeTaskChain();
+  const MachineConfig machine = SmallMachine();
+  MappingEngine engine;
+
+  MapRequest request = RequestFor(chain, machine);
+  request.solver = SolverPolicy::kDp;
+  EXPECT_TRUE(engine.Map(request).exact);
+  request.solver = SolverPolicy::kGreedy;
+  EXPECT_FALSE(engine.Map(request).exact);
+
+  request.objective = MapObjective::kLatency;
+  request.solver = SolverPolicy::kBrute;
+  EXPECT_EQ(engine.Map(request).solver, "brute");
+  request.solver = SolverPolicy::kDp;
+  EXPECT_THROW(engine.Map(request), InvalidArgument);
 }
 
 TEST(MappingEngineTest, AllFourSolversReachable) {

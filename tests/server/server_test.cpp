@@ -16,6 +16,7 @@
 #include <chrono>
 #include <fstream>
 
+#include "core/evaluator.h"
 #include "engine/mapping_engine.h"
 #include "gtest/gtest.h"
 #include "io/serialize.h"
@@ -25,6 +26,7 @@
 #include "support/metrics.h"
 #include "support/trace_context.h"
 #include "support/tracer.h"
+#include "workloads/radar.h"
 #include "workloads/synthetic.h"
 #include "../temp_dir.h"
 
@@ -116,6 +118,61 @@ TEST(ServerTest, MapSolvesAndSharesTheCacheAcrossConnections) {
   const std::string warm = CheckedCall(second, request);
   EXPECT_TRUE(IsOk(warm));
   EXPECT_NE(warm.find("\"cache_hit\": true"), std::string::npos);
+}
+
+/// The raw text after `"key": ` in a response, up to the end of its line
+/// (trailing comma dropped; a string keeps its quotes and escapes).
+std::string Field(const std::string& response, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t begin = response.find(needle);
+  if (begin == std::string::npos) return "";
+  std::string value = response.substr(
+      begin + needle.size(),
+      response.find('\n', begin) - begin - needle.size());
+  if (!value.empty() && value.back() == ',') value.pop_back();
+  return value;
+}
+
+TEST(ServerTest, MapReportsTheNumbersOfThePlacedMapping) {
+  // Radar on the systolic iWarp: the DP's mapping does not pack onto the
+  // array, so placement drops replicas. The response's numbers must
+  // describe the mapping it returns, which no solver certified.
+  const Workload radar = workloads::MakeRadar(CommMode::kSystolic);
+  const Problem problem{
+      SerializeChain(radar.chain, radar.machine.total_procs()),
+      SerializeMachine(radar.machine)};
+  ServerRequest request = MapRequestFor(problem);
+  request.algorithm = "dp";
+  TestServer ts;
+  ServerClient client = ts.Connect();
+  const std::string response = CheckedCall(client, request);
+  ASSERT_TRUE(IsOk(response));
+
+  std::string mapping_text = Field(response, "mapping");
+  ASSERT_GE(mapping_text.size(), 2u);
+  mapping_text = mapping_text.substr(1, mapping_text.size() - 2);
+  std::size_t at = 0;
+  while ((at = mapping_text.find("\\n")) != std::string::npos) {
+    mapping_text.replace(at, 2, "\n");
+  }
+  const Mapping returned = ParseMapping(mapping_text);
+  const TaskChain chain = ParseChain(problem.chain_text);
+  const Evaluator eval(chain, radar.machine.total_procs(),
+                       radar.machine.node_memory_bytes);
+
+  MapRequest solve;
+  solve.chain = &chain;
+  solve.machine = radar.machine;
+  solve.solver = SolverPolicy::kDp;
+  ASSERT_NE(MappingEngine().Map(solve).mapping, returned)
+      << "placement no longer changes this mapping; pick another chain";
+
+  const double expected = eval.Throughput(returned);
+  EXPECT_NEAR(std::stod(Field(response, "throughput")), expected,
+              1e-9 * expected);
+  EXPECT_NEAR(std::stod(Field(response, "latency")), eval.Latency(returned),
+              1e-9 * eval.Latency(returned));
+  EXPECT_EQ(Field(response, "exact"), "false");
 }
 
 TEST(ServerTest, SimulateAndReportRoundTrip) {

@@ -1,10 +1,10 @@
-#include "sim/event_sim.h"
+#include "event_sim.h"
 
 #include <gtest/gtest.h>
 
 #include "core/dp_mapper.h"
 #include "core/evaluator.h"
-#include "sim/event_queue.h"
+#include "event_queue.h"
 #include "support/error.h"
 #include "workloads/fft_hist.h"
 #include "workloads/radar.h"

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_plan.h"
-#include "sim/event_sim.h"
+#include "event_sim.h"
 #include "sim/pipeline_sim.h"
 #include "support/error.h"
 #include "../test_util.h"

@@ -13,7 +13,7 @@
 
 #include <string>
 
-#include "sim/event_sim.h"
+#include "event_sim.h"
 #include "sim/pipeline_sim.h"
 #include "support/metrics.h"
 #include "support/tracer.h"

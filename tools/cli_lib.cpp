@@ -15,7 +15,6 @@
 #include "fault/fault_plan.h"
 #include "fault/repair.h"
 #include "io/serialize.h"
-#include "machine/feasible.h"
 #include "sim/attribution.h"
 #include "sim/pipeline_sim.h"
 #include "sim/run_report.h"
@@ -324,31 +323,16 @@ MapRequest BuildMapRequest(const Flags& flags, const LoadedProblem& problem) {
     request.time_budget_s = seconds;
   }
 
-  const std::string objective = flags.Get("objective").value_or("throughput");
-  const std::string algorithm = flags.Get("algorithm").value_or("dp");
-  if (objective == "latency") {
-    request.solver = SolverPolicy::kLatency;
-    if (const auto floor = flags.Get("floor")) {
-      request.objective = MapObjective::kLatencyWithFloor;
-      request.min_throughput = CheckedDouble("floor", *floor);
-    } else {
-      request.objective = MapObjective::kLatency;
-    }
-  } else if (objective == "throughput") {
-    request.objective = MapObjective::kThroughput;
-    if (algorithm == "dp") {
-      request.solver = SolverPolicy::kDp;
-    } else if (algorithm == "greedy") {
-      request.solver = SolverPolicy::kGreedy;
-    } else if (algorithm == "auto") {
-      request.solver = SolverPolicy::kAuto;
-    } else if (algorithm == "brute") {
-      request.solver = SolverPolicy::kBrute;
-    } else {
-      throw UsageError("unknown algorithm: " + algorithm);
-    }
-  } else {
-    throw UsageError("unknown objective: " + objective);
+  std::optional<double> floor;
+  if (const auto text = flags.Get("floor")) {
+    floor = CheckedDouble("floor", *text);
+  }
+  try {
+    SetPolicyByName(flags.Get("algorithm").value_or("dp"),
+                    flags.Get("objective").value_or("throughput"), floor,
+                    &request);
+  } catch (const InvalidArgument& e) {
+    throw UsageError(e.what());
   }
   return request;
 }
@@ -363,8 +347,8 @@ int MapCommand(const std::vector<std::string>& args, std::ostream& out) {
   const LoadedProblem problem = Load(flags);
   const ObservationSession observation(flags);
   const MapRequest request = BuildMapRequest(flags, problem);
-  const MapResponse response = MappingEngine::Shared().Map(request);
-  Mapping mapping = response.mapping;
+  const PlacedMapping placed = MappingEngine::Shared().MapAndPlace(request);
+  const MapResponse& response = placed.response;
 
   if (request.objective == MapObjective::kThroughput) {
     out << "objective: maximum throughput (" << response.solver << ")\n";
@@ -389,17 +373,10 @@ int MapCommand(const std::vector<std::string>& args, std::ostream& out) {
            " a certified optimum\n";
   }
 
-  const Evaluator eval(problem.chain, request.total_procs,
-                       problem.machine.node_memory_bytes,
-                       request.options.num_threads);
-  if (!flags.Has("unconstrained")) {
-    mapping = FeasibilityChecker(problem.machine).MakeFeasible(mapping, eval);
-  }
-
-  out << "mapping: " << mapping.ToString(problem.chain) << "\n";
-  out << ExplainMapping(eval, mapping).Render(problem.chain);
+  out << "mapping: " << placed.mapping.ToString(problem.chain) << "\n";
+  out << ExplainMapping(placed.eval, placed.mapping).Render(problem.chain);
   if (const auto path = flags.Get("out")) {
-    WriteTextFile(*path, SerializeMapping(mapping));
+    WriteTextFile(*path, SerializeMapping(placed.mapping));
     out << "wrote " << *path << "\n";
   }
   observation.Write(out);
@@ -513,15 +490,10 @@ int ReportCommand(const std::vector<std::string>& args, std::ostream& out) {
   const ScopedMetricsEnable metrics_on(true);
   const auto trace_path = flags.Get("trace");
 
-  const MapRequest request = BuildMapRequest(flags, problem);
-  const int procs = request.total_procs;
-  const Evaluator eval(problem.chain, procs,
-                       problem.machine.node_memory_bytes,
-                       request.options.num_threads);
-  Mapping mapping = MappingEngine::Shared().Map(request).mapping;
-  if (!flags.Has("unconstrained")) {
-    mapping = FeasibilityChecker(problem.machine).MakeFeasible(mapping, eval);
-  }
+  const PlacedMapping placed =
+      MappingEngine::Shared().MapAndPlace(BuildMapRequest(flags, problem));
+  const Evaluator& eval = placed.eval;
+  const Mapping& mapping = placed.mapping;
 
   const SimOptions sim_options = SimOptionsFromFlags(flags);
 
