@@ -3,10 +3,13 @@
 // its tables.
 #pragma once
 
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/pipeline_sim.h"
+#include "support/json_writer.h"
 #include "workloads/fft_hist.h"
 #include "workloads/radar.h"
 #include "workloads/stereo.h"
@@ -42,6 +45,31 @@ inline std::vector<NamedWorkload> Table2Configs() {
   configs.push_back(
       {"Stereo", "256x100", workloads::MakeStereo(CommMode::kSystolic)});
   return configs;
+}
+
+/// Writes a "host" object naming what the numbers were measured on: the
+/// CPU model and the hardware threads this process may use, the compiler
+/// and the build type. Timings are properties of the host; a BENCH file
+/// without its host cannot be compared with another.
+inline void WriteHostJson(JsonWriter& w) {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu_model = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  w.Key("host").BeginObject();
+  w.Key("cpu_model").String(cpu_model);
+  w.Key("hardware_threads").UInt(std::thread::hardware_concurrency());
+#if defined(__clang__)
+  w.Key("compiler").String("clang " __clang_version__);
+#else
+  w.Key("compiler").String("gcc " __VERSION__);
+#endif
+  w.Key("build_type").String(PIPEMAP_BUILD_TYPE);
+  w.EndObject();
 }
 
 /// Standard "measured" settings: a stream long enough for steady state,

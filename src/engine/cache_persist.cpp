@@ -22,7 +22,7 @@ namespace pipemap {
 
 namespace {
 
-constexpr std::string_view kMagic = "pipemap-cache v1";
+constexpr std::string_view kMagic = "pipemap-cache v2";
 constexpr std::string_view kLockFileName = "pipemap.lock";
 /// Decode refuses byte-counted fields larger than this: a plausible upper
 /// bound on any real mapping text, and a cheap guard against a corrupt
@@ -113,6 +113,42 @@ bool TakeDoubleField(Cursor& c, std::string_view key, double* out) {
   return true;
 }
 
+/// "<key> <n> <16-hex FNV-1a of the bytes>\n<n raw bytes>\n": a
+/// checksummed mapping text. Returns null on success, else why it failed.
+const char* TakeChecksummed(Cursor& c, std::string_view key,
+                            std::string_view* bytes) {
+  if (!TakePrefix(&c.rest, key) || !TakePrefix(&c.rest, " ")) {
+    return "bad mapping field";
+  }
+  std::size_t n = 0;
+  if (!TakeLength(c, &n) || !TakePrefix(&c.rest, " ")) {
+    return "bad mapping length";
+  }
+  std::string_view line;
+  std::uint64_t checksum = 0;
+  if (!TakeLine(c, &line) || !ParseHex64(line, &checksum)) {
+    return "unparseable mapping checksum";
+  }
+  if (c.rest.size() < n) return "truncated mapping";
+  *bytes = c.rest.substr(0, n);
+  c.rest.remove_prefix(n);
+  if (Fnv1a64(*bytes) != checksum) return "mapping checksum mismatch";
+  if (!TakePrefix(&c.rest, "\n")) return "missing mapping terminator";
+  return nullptr;
+}
+
+void AppendChecksummed(std::string_view key, std::string_view bytes,
+                       std::string* out) {
+  *out += key;
+  *out += ' ';
+  *out += std::to_string(bytes.size());
+  *out += ' ';
+  *out += FingerprintHex(Fnv1a64(bytes));
+  *out += '\n';
+  *out += bytes;
+  *out += '\n';
+}
+
 bool IsEntryFileName(const std::filesystem::path& path) {
   if (path.extension() != ".pmc") return false;
   std::uint64_t ignored = 0;
@@ -127,7 +163,8 @@ std::string CacheEntryFileName(std::uint64_t key) {
 
 std::string EncodeCacheEntry(std::uint64_t key, const CachedSolution& value) {
   std::string out;
-  out.reserve(value.mapping_text.size() + value.solver.size() + 160);
+  out.reserve(value.mapping_text.size() + value.placed_mapping_text.size() +
+              value.solver.size() + 320);
   out += kMagic;
   out += "\nfingerprint ";
   out += FingerprintHex(key);
@@ -143,13 +180,16 @@ std::string EncodeCacheEntry(std::uint64_t key, const CachedSolution& value) {
   out += FormatDouble(value.throughput);
   out += "\nlatency ";
   out += FormatDouble(value.latency);
-  out += "\npayload ";
-  out += std::to_string(value.mapping_text.size());
-  out += ' ';
-  out += FingerprintHex(Fnv1a64(value.mapping_text));
+  out += "\nplaced_objective ";
+  out += FormatDouble(value.placed_objective_value);
+  out += "\nplaced_throughput ";
+  out += FormatDouble(value.placed_throughput);
+  out += "\nplaced_latency ";
+  out += FormatDouble(value.placed_latency);
   out += '\n';
-  out += value.mapping_text;
-  out += "\nend\n";
+  AppendChecksummed("placed", value.placed_mapping_text, &out);
+  AppendChecksummed("payload", value.mapping_text, &out);
+  out += "end\n";
   return out;
 }
 
@@ -194,22 +234,26 @@ std::optional<CachedSolution> DecodeCacheEntry(std::uint64_t key,
   if (!TakeDoubleField(c, "latency", &out.latency)) {
     return fail("bad latency field");
   }
-  if (!TakePrefix(&c.rest, "payload ")) return fail("bad payload field");
-  std::size_t payload_bytes = 0;
-  if (!TakeLength(c, &payload_bytes) || !TakePrefix(&c.rest, " ")) {
-    return fail("bad payload length");
+  if (!TakeDoubleField(c, "placed_objective", &out.placed_objective_value)) {
+    return fail("bad placed_objective field");
   }
-  std::uint64_t checksum = 0;
-  if (!TakeLine(c, &line) || !ParseHex64(line, &checksum)) {
-    return fail("unparseable payload checksum");
+  if (!TakeDoubleField(c, "placed_throughput", &out.placed_throughput)) {
+    return fail("bad placed_throughput field");
   }
-  if (c.rest.size() < payload_bytes) return fail("truncated payload");
-  const std::string_view payload = c.rest.substr(0, payload_bytes);
-  c.rest.remove_prefix(payload_bytes);
-  if (Fnv1a64(payload) != checksum) return fail("payload checksum mismatch");
-  if (!TakePrefix(&c.rest, "\n")) return fail("missing payload terminator");
+  if (!TakeDoubleField(c, "placed_latency", &out.placed_latency)) {
+    return fail("bad placed_latency field");
+  }
+  std::string_view placed;
+  if (const char* why = TakeChecksummed(c, "placed", &placed)) {
+    return fail(why);
+  }
+  std::string_view payload;
+  if (const char* why = TakeChecksummed(c, "payload", &payload)) {
+    return fail(why);
+  }
   if (!TakeLine(c, &line) || line != "end") return fail("missing end marker");
   if (!c.rest.empty()) return fail("trailing bytes after end marker");
+  out.placed_mapping_text.assign(placed.data(), placed.size());
   out.mapping_text.assign(payload.data(), payload.size());
   return out;
 }

@@ -8,8 +8,8 @@
 //   * one file per entry, named "<16-hex fingerprint>.pmc" inside the
 //     configured cache directory;
 //   * a versioned text header (format grammar in DESIGN.md §10) carrying
-//     the fingerprint, solve provenance, and an FNV-1a checksum of the
-//     byte-counted mapping payload;
+//     the fingerprint and solve provenance, then the byte-counted solved
+//     and placed mappings, each with an FNV-1a checksum;
 //   * writes go to a temp file in the same directory and are published
 //     with an atomic rename(2), so readers never observe a torn entry;
 //   * reads are lazy (only on an in-memory miss) and any malformation —
@@ -91,11 +91,11 @@ struct PersistTierStats {
 std::string CacheEntryFileName(std::uint64_t key);
 
 /// Serializes one entry in the on-disk format (header + checksummed
-/// payload + terminator). Exact inverse of DecodeCacheEntry.
+/// mappings + terminator). Exact inverse of DecodeCacheEntry.
 std::string EncodeCacheEntry(std::uint64_t key, const CachedSolution& value);
 
 /// Parses an entry's bytes, validating version, fingerprint (must equal
-/// `key`), payload checksum, and terminator. Returns nullopt on any
+/// `key`), mapping checksums, and terminator. Returns nullopt on any
 /// malformation, with a one-line reason in *error when non-null.
 std::optional<CachedSolution> DecodeCacheEntry(std::uint64_t key,
                                                std::string_view bytes,

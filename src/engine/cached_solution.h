@@ -17,6 +17,15 @@ struct CachedSolution {
   /// "greedy+dp").
   std::string solver;
   bool exact = false;
+  /// SerializeMapping output of the solve placed on the machine
+  /// (FeasibilityChecker::MakeFeasible), with its re-evaluated numbers.
+  /// Set only for requests with MapRequest::machine_feasibility whose
+  /// placement changed the solve; empty when the placed mapping is the
+  /// solve itself.
+  std::string placed_mapping_text;
+  double placed_objective_value = 0.0;
+  double placed_throughput = 0.0;
+  double placed_latency = 0.0;
   /// True when this Lookup result came from the persistent tier rather
   /// than the in-memory LRU. Provenance only: never serialized, reset on
   /// insert, and the rehydrated in-memory copy reports false.

@@ -169,18 +169,50 @@ MapResponse RunStage(SolverPolicy stage, const MapRequest& request,
   return result;
 }
 
-int ResolveProcs(const MapRequest& request) {
-  const int procs = request.total_procs > 0 ? request.total_procs
-                                            : request.machine.total_procs();
-  PIPEMAP_CHECK(procs >= 1, "MapRequest: processor budget must be positive");
-  return procs;
-}
-
 void ValidateRequest(const MapRequest& request) {
-  PIPEMAP_CHECK(request.chain != nullptr, "MapRequest: chain is required");
+  PIPEMAP_CHECK(request.chain != nullptr || !request.chain_text.empty(),
+                "MapRequest: chain is required");
   PIPEMAP_CHECK(request.objective != MapObjective::kLatencyWithFloor ||
                     request.min_throughput > 0.0,
                 "MapRequest: latency_with_floor needs min_throughput > 0");
+}
+
+/// The request's chain: `request.chain`, or `chain_text` parsed into
+/// `storage` (throws pipemap::InvalidArgument on malformed text).
+const TaskChain& ResolveChain(const MapRequest& request,
+                              std::optional<TaskChain>* storage) {
+  if (request.chain != nullptr) return *request.chain;
+  return storage->emplace(ParseChain(std::string(request.chain_text)));
+}
+
+/// Sets `*placed` to the mapping to run that `entry` records: the solve
+/// (already in `out`) when placement kept it, else the placed mapping,
+/// whose re-evaluated numbers replace the solve's in `out` (and which no
+/// solver certified).
+void PlaceFrom(const CachedSolution& entry, MapResponse* out,
+               Mapping* placed) {
+  if (entry.placed_mapping_text.empty()) {
+    *placed = out->mapping;
+    return;
+  }
+  *placed = ParseMapping(entry.placed_mapping_text);
+  out->objective_value = entry.placed_objective_value;
+  out->throughput = entry.placed_throughput;
+  out->latency = entry.placed_latency;
+  out->exact = false;
+}
+
+/// Sets `out` to the answer `entry` records: the solve's mapping, numbers
+/// and provenance, then, with `placed` non-null, its placement.
+void AnswerFrom(const CachedSolution& entry, MapResponse* out,
+                Mapping* placed) {
+  out->mapping = ParseMapping(entry.mapping_text);
+  out->objective_value = entry.objective_value;
+  out->throughput = entry.throughput;
+  out->latency = entry.latency;
+  out->solver = entry.solver;
+  out->exact = entry.exact;
+  if (placed != nullptr) PlaceFrom(entry, out, placed);
 }
 
 /// Resolved MapperOptions: the machine-derived feasibility predicate is
@@ -223,6 +255,12 @@ class FlightPublisher {
 };
 
 }  // namespace
+
+int MapRequest::ResolvedProcs() const {
+  const int procs = total_procs > 0 ? total_procs : machine.total_procs();
+  PIPEMAP_CHECK(procs >= 1, "MapRequest: processor budget must be positive");
+  return procs;
+}
 
 std::string MapResponse::ToJson() const {
   JsonWriter w;
@@ -293,10 +331,16 @@ bool MappingEngine::WarmPoolContains(std::uint64_t key) {
 std::uint64_t MappingEngine::Fingerprint(const MapRequest& request) const {
   ValidateRequest(request);
   if (request.options.proc_feasible) return 0;
-  const int procs = ResolveProcs(request);
+  const int procs = request.ResolvedProcs();
   FingerprintBuilder fb;
   fb.Append("pipemap-map-request v1");
-  fb.Append(SerializeChain(*request.chain, procs));
+  // Canonical chain text is exactly what SerializeChain would produce, so
+  // both forms of a request share one key (and one disk entry).
+  if (!request.chain_text.empty()) {
+    fb.Append(request.chain_text);
+  } else {
+    fb.Append(SerializeChain(*request.chain, procs));
+  }
   fb.Append(SerializeMachine(request.machine));
   fb.Append(SerializeMapperOptions(request.options));
   fb.Append(static_cast<int>(request.objective));
@@ -308,6 +352,17 @@ std::uint64_t MappingEngine::Fingerprint(const MapRequest& request) const {
 }
 
 MapResponse MappingEngine::Map(const MapRequest& request) {
+  return Solve(request, nullptr);
+}
+
+PlacedMapping MappingEngine::MapAndPlace(const MapRequest& request) {
+  PlacedMapping placed;
+  placed.response = Solve(request, &placed.mapping);
+  return placed;
+}
+
+MapResponse MappingEngine::Solve(const MapRequest& request,
+                                 Mapping* placed) {
   ValidateRequest(request);
   const auto start = std::chrono::steady_clock::now();
   PIPEMAP_COUNTER_ADD("engine.map.calls", 1);
@@ -318,7 +373,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
                      request.trace_id != 0
                          ? static_cast<std::int64_t>(request.trace_id)
                          : -1);
-  const int procs = ResolveProcs(request);
+  const int procs = request.ResolvedProcs();
 
   MapResponse response;
   response.trace_id = request.trace_id;
@@ -340,18 +395,19 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   if (response.cacheable && !capture_solve) {
     if (std::optional<CachedSolution> hit =
             cache_.Lookup(response.fingerprint)) {
-      response.mapping = ParseMapping(hit->mapping_text);
-      response.objective_value = hit->objective_value;
-      response.throughput = hit->throughput;
-      response.latency = hit->latency;
-      response.solver = hit->solver;
-      response.exact = hit->exact;
+      AnswerFrom(*hit, &response, placed);
       response.cache_hit = true;
       response.cache_tier = hit->from_disk ? "disk" : "memory";
       response.solve_seconds = SecondsSince(start);
       return response;
     }
   }
+
+  // Past the cache: the solve needs the chain itself. Parsing here, before
+  // joining a flight, keeps malformed text from ever leading a flight or
+  // reaching the cache.
+  std::optional<TaskChain> parsed_chain;
+  const TaskChain& chain = ResolveChain(request, &parsed_chain);
 
   const bool has_budget = Deadline::HasBudget(request.time_budget_s);
 
@@ -378,12 +434,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
       if (can_wait) {
         if (std::optional<CachedSolution> shared =
                 single_flight_.Wait(flight, wait_s)) {
-          response.mapping = ParseMapping(shared->mapping_text);
-          response.objective_value = shared->objective_value;
-          response.throughput = shared->throughput;
-          response.latency = shared->latency;
-          response.solver = shared->solver;
-          response.exact = shared->exact;
+          AnswerFrom(*shared, &response, placed);
           response.shared_solve = true;
           response.solve_seconds = SecondsSince(start);
           return response;
@@ -409,8 +460,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   if (!options.deadline && has_budget) {
     options.deadline = Deadline::AfterAnchor(start, request.time_budget_s);
   }
-  const Evaluator eval(*request.chain, procs,
-                       request.machine.node_memory_bytes,
+  const Evaluator eval(chain, procs, request.machine.node_memory_bytes,
                        options.num_threads);
 
   // One warm-start state threads greedy's incumbent into the DP (and any
@@ -455,7 +505,7 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
     stages.push_back(request.solver);
   } else if (request.objective == MapObjective::kThroughput) {
     stages = {SolverPolicy::kGreedy, SolverPolicy::kDp};
-    if (request.chain->size() <= config_.brute_max_tasks &&
+    if (chain.size() <= config_.brute_max_tasks &&
         procs <= config_.brute_max_procs) {
       stages.push_back(SolverPolicy::kBrute);
     }
@@ -541,18 +591,44 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
 
   if (response.timed_out) PIPEMAP_COUNTER_ADD("engine.map.timed_out", 1);
 
+  CachedSolution entry;
+  entry.mapping_text = SerializeMapping(response.mapping);
+  entry.objective_value = response.objective_value;
+  entry.throughput = response.throughput;
+  entry.latency = response.latency;
+  entry.solver = response.solver;
+  entry.exact = response.exact;
+  // Placement, while the evaluator is at hand: drop replicas until the
+  // solve packs onto the machine and score what is left. A solve that no
+  // placement fits is not cached, so every request re-derives the same
+  // answer: Map the solve, MapAndPlace the Infeasible error.
+  std::exception_ptr placement_error;
+  if (request.machine_feasibility) {
+    try {
+      const Mapping mapping = FeasibilityChecker(request.machine)
+                                  .MakeFeasible(response.mapping, eval);
+      if (mapping != response.mapping) {
+        MapResponse scored;
+        Score(eval, mapping, request.objective, &scored);
+        entry.placed_mapping_text = SerializeMapping(mapping);
+        entry.placed_objective_value = scored.objective_value;
+        entry.placed_throughput = scored.throughput;
+        entry.placed_latency = scored.latency;
+      }
+    } catch (const Infeasible&) {
+      placement_error = std::current_exception();
+    }
+  }
+  if (placed != nullptr) {
+    if (placement_error) std::rethrow_exception(placement_error);
+    PlaceFrom(entry, &response, placed);
+  }
+
   // Budget-truncated portfolios and deadline-interrupted solves are not
   // cached: the same request with a looser budget must be able to produce
   // the exact answer later.
   if (response.cacheable && !response.budget_exhausted &&
-      !response.timed_out) {
-    CachedSolution entry;
-    entry.mapping_text = SerializeMapping(response.mapping);
-    entry.objective_value = response.objective_value;
-    entry.throughput = response.throughput;
-    entry.latency = response.latency;
-    entry.solver = response.solver;
-    entry.exact = response.exact;
+      !response.timed_out && !placement_error) {
     cache_.Insert(response.fingerprint, entry);
     // Only clean (cacheable) results fan out to followers; unclean ones
     // fall to the publisher destructor's "no result" and each follower
@@ -562,32 +638,12 @@ MapResponse MappingEngine::Map(const MapRequest& request) {
   return response;
 }
 
-PlacedMapping MappingEngine::MapAndPlace(const MapRequest& request) {
-  MapResponse response = Map(request);
-  Evaluator eval(*request.chain, ResolveProcs(request),
-                 request.machine.node_memory_bytes,
-                 request.options.num_threads);
-  Mapping mapping =
-      request.machine_feasibility
-          ? FeasibilityChecker(request.machine)
-                .MakeFeasible(response.mapping, eval)
-          : response.mapping;
-  if (mapping != response.mapping) {
-    // Placement dropped replicas: report what the returned mapping does,
-    // which no solver certified.
-    Score(eval, mapping, request.objective, &response);
-    response.exact = false;
-  }
-  return PlacedMapping{std::move(response), std::move(eval),
-                       std::move(mapping)};
-}
-
 std::vector<FrontierPoint> MappingEngine::Frontier(const MapRequest& request,
                                                    int num_points,
                                                    SweepStats* stats) {
   ValidateRequest(request);
   PIPEMAP_COUNTER_ADD("engine.frontier.calls", 1);
-  const int procs = ResolveProcs(request);
+  const int procs = request.ResolvedProcs();
 
   // Whole-sweep memoization: a repeated sweep on an unchanged problem is
   // answered without a single DP solve. The key extends the request
@@ -621,7 +677,8 @@ std::vector<FrontierPoint> MappingEngine::Frontier(const MapRequest& request,
   const std::uint64_t reused0 = warm->tables_reused;
   const std::uint64_t seeded0 = warm->incumbents_seeded;
 
-  const Evaluator eval(*request.chain, procs,
+  std::optional<TaskChain> parsed_chain;
+  const Evaluator eval(ResolveChain(request, &parsed_chain), procs,
                        request.machine.node_memory_bytes,
                        options.num_threads);
   std::vector<FrontierPoint> frontier =
@@ -653,7 +710,7 @@ ProcCountResult MappingEngine::MinProcs(const MapRequest& request,
                                         SweepStats* stats) {
   ValidateRequest(request);
   PIPEMAP_COUNTER_ADD("engine.min_procs.calls", 1);
-  const int procs = ResolveProcs(request);
+  const int procs = request.ResolvedProcs();
 
   const bool cacheable = request.use_cache && !request.options.proc_feasible;
   std::uint64_t key = 0;
@@ -683,7 +740,8 @@ ProcCountResult MappingEngine::MinProcs(const MapRequest& request,
   const std::uint64_t reused0 = warm->tables_reused;
   const std::uint64_t seeded0 = warm->incumbents_seeded;
 
-  const Evaluator eval(*request.chain, procs,
+  std::optional<TaskChain> parsed_chain;
+  const Evaluator eval(ResolveChain(request, &parsed_chain), procs,
                        request.machine.node_memory_bytes,
                        options.num_threads);
   ProcCountResult result =

@@ -24,9 +24,13 @@
 // Caching: requests without a custom feasibility predicate are
 // fingerprinted over the canonical serializations of the chain, machine,
 // and options (engine/fingerprint.h) and answered from a sharded LRU
-// cache (engine/solution_cache.h) when possible. A cache hit returns a
-// mapping byte-identical to what a fresh solve would produce — the cache
-// stores serialized mappings, and the tests pin the equality. A custom
+// cache (engine/solution_cache.h) when possible. A request may carry the
+// chain as its canonical text (MapRequest::chain_text) instead of a
+// parsed chain: the key then hashes those bytes, and the chain is parsed
+// only on a miss, so a hit costs one hash and a lookup. A cache hit
+// returns a mapping byte-identical to what a fresh solve would produce —
+// the cache stores serialized mappings (the solve, and the placed mapping
+// MapAndPlace returns), and the tests pin the equality. A custom
 // proc_feasible closure cannot be fingerprinted, so such requests bypass
 // the cache entirely rather than risk a false hit. With
 // EngineConfig::cache_dir set the cache additionally persists
@@ -87,9 +91,19 @@ enum class SolverPolicy {
 const char* ToString(SolverPolicy policy);
 
 /// A mapping problem, fully described. The chain is borrowed (callers own
-/// it for the duration of the call); everything else is by value.
+/// it, or its text, for the duration of the call); everything else is by
+/// value.
 struct MapRequest {
+  /// The chain to map. May be null when chain_text is set.
   const TaskChain* chain = nullptr;
+  /// The chain as canonical text (io/serialize.h SerializeChain over the
+  /// processor budget). When set, the fingerprint hashes these bytes
+  /// instead of serializing `chain`, and, when `chain` is null, the
+  /// engine parses them only when it must solve (for Map, on a cache
+  /// miss). Canonical text keys exactly as the parsed chain would; other
+  /// text that parses (e.g. with comment lines) gets a key of its own and
+  /// the same answer.
+  std::string_view chain_text;
   MachineConfig machine;
   /// Processor budget; <= 0 means the whole machine.
   int total_procs = 0;
@@ -124,6 +138,11 @@ struct MapRequest {
   /// returns its best incumbent with MapResponse::timed_out set. An
   /// explicitly supplied options.deadline takes precedence.
   double time_budget_s = 0.0;
+
+  /// The processor budget the request solves on: total_procs, or the
+  /// whole machine when that is <= 0. Throws pipemap::InvalidArgument
+  /// when neither is positive.
+  int ResolvedProcs() const;
 };
 
 /// Sets `request`'s solver, objective and floor from the policy names the
@@ -198,8 +217,6 @@ struct PlacedMapping {
   /// placement changed it, throughput, latency and objective_value are
   /// re-evaluated for the placed mapping and `exact` is false.
   MapResponse response;
-  /// The chain's cost tables on the request's processor budget.
-  Evaluator eval;
   /// The mapping to run: with MapRequest::machine_feasibility set, the
   /// solve with replicas dropped until it packs onto the machine
   /// (FeasibilityChecker::MakeFeasible); otherwise the solve itself.
@@ -250,7 +267,9 @@ class MappingEngine {
   MapResponse Map(const MapRequest& request);
 
   /// Map, then place the solve on the machine. The one path from a
-  /// request to a runnable mapping, shared by the CLI and the server.
+  /// request to a runnable mapping, shared by the CLI and the server. The
+  /// placement is computed with the solve and cached with it, so a cache
+  /// hit or a shared solve places without building an Evaluator.
   PlacedMapping MapAndPlace(const MapRequest& request);
 
   /// The latency/throughput Pareto frontier on the request's machine and
@@ -273,7 +292,8 @@ class MappingEngine {
                            SweepStats* stats = nullptr);
 
   /// Fingerprint of `request` (also computed by Map); 0 when the request
-  /// is not fingerprintable (custom predicate).
+  /// is not fingerprintable (custom predicate). The chain enters as
+  /// `chain_text` when set, else as SerializeChain of `chain`.
   std::uint64_t Fingerprint(const MapRequest& request) const;
 
   SolutionCache& cache() { return cache_; }
@@ -290,6 +310,11 @@ class MappingEngine {
   static MappingEngine& Shared();
 
  private:
+  /// Map's body. With `placed` non-null, also places the solve (see
+  /// MapAndPlace) into it and re-scores the response when placement
+  /// changed the mapping.
+  MapResponse Solve(const MapRequest& request, Mapping* placed);
+
   /// Warm-pool key of `request`: the request fingerprint MINUS the chain
   /// serialization (see warm_pool_ below).
   std::uint64_t WarmPoolKey(const MapRequest& request, int procs) const;

@@ -41,6 +41,13 @@
 // sections, and trailing bytes after `end` are all hard errors. The
 // parser allocates at most the payload it was handed, which the server
 // has already capped at max_frame_bytes.
+//
+// The chain section's bytes, as sent, are the solution-cache key of map
+// and report requests (MapRequest::chain_text): a map hit is answered
+// from a hash of them without parsing the chain. Canonical text
+// (SerializeChain output, as `pipemap_cli export-workload` writes it)
+// keys exactly as the parsed chain does in the CLI; other text that
+// parses keys apart and gets the same answer.
 #pragma once
 
 #include <cstddef>

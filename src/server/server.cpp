@@ -677,9 +677,10 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
   if (!request.has_chain || !request.has_machine) {
     throw InvalidArgument("op map needs chain and machine sections");
   }
-  const TaskChain chain = ParseChain(request.chain_text);
+  // The chain section's bytes are the cache key: the engine parses them
+  // only on a miss.
   const PlacedMapping placed =
-      SolveAndPlace(request, chain, ParseMachine(request.machine_text),
+      SolveAndPlace(request, nullptr, ParseMachine(request.machine_text),
                     budget_s, outcome);
   const MapResponse& response = placed.response;
 
@@ -707,12 +708,13 @@ std::string PipemapServer::HandleMap(const ServerRequest& request,
 }
 
 PlacedMapping PipemapServer::SolveAndPlace(const ServerRequest& request,
-                                           const TaskChain& chain,
+                                           const TaskChain* chain,
                                            const MachineConfig& machine,
                                            double budget_s,
                                            RequestOutcome* outcome) {
   MapRequest mr;
-  mr.chain = &chain;
+  mr.chain = chain;
+  mr.chain_text = request.chain_text;
   mr.machine = machine;
   mr.total_procs = request.procs > 0 ? request.procs : machine.total_procs();
   mr.options.num_threads = request.threads;
@@ -772,14 +774,18 @@ std::string PipemapServer::HandleReport(const ServerRequest& request,
   if (!request.has_chain || !request.has_machine) {
     throw InvalidArgument("op report needs chain and machine sections");
   }
-  const TaskChain chain = ParseChain(request.chain_text);
-  const PlacedMapping placed =
-      SolveAndPlace(request, chain, ParseMachine(request.machine_text),
-                    budget_s, outcome);
-  const Evaluator& eval = placed.eval;
-  const Mapping& mapping = placed.mapping;
-
+  // Refuse bad simulation options before solving: a refused report must
+  // not cost a solve or fill the cache.
   const SimOptions options = BuildSimOptions(request);
+  const TaskChain chain = ParseChain(request.chain_text);
+  const MachineConfig machine = ParseMachine(request.machine_text);
+  const PlacedMapping placed =
+      SolveAndPlace(request, &chain, machine, budget_s, outcome);
+  const Mapping& mapping = placed.mapping;
+  const Evaluator eval(chain,
+                       request.procs > 0 ? request.procs
+                                         : machine.total_procs(),
+                       machine.node_memory_bytes, request.threads);
   const SimResult result = PipelineSimulator(chain).Run(mapping, options);
   const BottleneckAttribution attribution =
       AttributeBottleneck(eval, mapping, result, options.num_datasets);

@@ -234,10 +234,11 @@ class PipemapServer {
                         RequestOutcome* outcome);
   /// The map and report ops' solve: the request's policy and budget
   /// (downgraded in brownout) through MappingEngine::MapAndPlace, with
-  /// the solve recorded in `outcome` and the timed_out counter. `chain`
-  /// must outlive the returned evaluator.
+  /// the solve recorded in `outcome` and the timed_out counter. The chain
+  /// section's bytes key the cache; `chain` is the parsed section when
+  /// the caller has it, else null and the engine parses on a miss.
   PlacedMapping SolveAndPlace(const ServerRequest& request,
-                              const TaskChain& chain,
+                              const TaskChain* chain,
                               const MachineConfig& machine, double budget_s,
                               RequestOutcome* outcome);
   std::string HandleSimulate(const ServerRequest& request);

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
 
 #include "support/error.h"
@@ -145,10 +146,14 @@ ChaosInjector& ChaosInjector::Global() {
 }
 
 void ChaosInjector::Configure(const ChaosSpec& spec) {
-  // Disarm while swapping so concurrent ShouldInject calls never observe
-  // a half-written spec, then zero the counters for the new storm.
+  // Disarm while swapping, then zero the counters for the new storm. A
+  // reader that passed the enabled check before the swap still holds a
+  // whole spec, the old one or the new.
   enabled_.store(false, std::memory_order_release);
-  spec_ = spec;
+  {
+    std::lock_guard<std::mutex> lock(spec_mu_);
+    spec_ = spec;
+  }
   for (int s = 0; s < kChaosSeamCount; ++s) {
     draw_counters_[s].store(0, std::memory_order_relaxed);
     injected_[s].store(0, std::memory_order_relaxed);
@@ -158,7 +163,10 @@ void ChaosInjector::Configure(const ChaosSpec& spec) {
 
 void ChaosInjector::Reset() {
   enabled_.store(false, std::memory_order_release);
-  spec_ = ChaosSpec{};
+  {
+    std::lock_guard<std::mutex> lock(spec_mu_);
+    spec_ = ChaosSpec{};
+  }
   for (int s = 0; s < kChaosSeamCount; ++s) {
     draw_counters_[s].store(0, std::memory_order_relaxed);
     injected_[s].store(0, std::memory_order_relaxed);
@@ -168,11 +176,17 @@ void ChaosInjector::Reset() {
 bool ChaosInjector::ShouldInject(ChaosSeam seam) {
   if (!enabled_.load(std::memory_order_acquire)) return false;
   const int s = static_cast<int>(seam);
-  const double probability = spec_.probability[s];
+  std::uint64_t seed = 0;
+  double probability = 0.0;
+  {
+    std::lock_guard<std::mutex> lock(spec_mu_);
+    seed = spec_.seed;
+    probability = spec_.probability[s];
+  }
   if (probability <= 0.0) return false;
   const std::uint64_t draw =
       draw_counters_[s].fetch_add(1, std::memory_order_relaxed);
-  const bool inject = UnitDraw(spec_.seed, s, draw) < probability;
+  const bool inject = UnitDraw(seed, s, draw) < probability;
   if (inject) {
     injected_[s].fetch_add(1, std::memory_order_relaxed);
     PIPEMAP_COUNTER_ADD("chaos." + std::string(ChaosSeamName(seam)) +
@@ -184,6 +198,7 @@ bool ChaosInjector::ShouldInject(ChaosSeam seam) {
 
 double ChaosInjector::DelayMs(ChaosSeam seam) const {
   if (!enabled_.load(std::memory_order_acquire)) return 0.0;
+  std::lock_guard<std::mutex> lock(spec_mu_);
   return spec_.delay_ms[static_cast<int>(seam)];
 }
 

@@ -48,6 +48,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -117,6 +118,10 @@ class ChaosInjector {
   ChaosInjector() = default;
 
   std::atomic<bool> enabled_{false};
+  /// Guards spec_: Configure and Reset replace it while connection
+  /// threads that already passed the enabled check read it. Readers take
+  /// the fields of one draw under one lock, so they never mix two specs.
+  mutable std::mutex spec_mu_;
   ChaosSpec spec_;
   std::array<std::atomic<std::uint64_t>, kChaosSeamCount> draw_counters_{};
   std::array<std::atomic<std::uint64_t>, kChaosSeamCount> injected_{};

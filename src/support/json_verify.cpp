@@ -10,6 +10,8 @@ namespace {
 /// helpers return false after recording an error; the position then
 /// points at the offending byte.
 struct Validator {
+  explicit Validator(std::string_view document) : text(document) {}
+
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
@@ -249,7 +251,7 @@ struct Validator {
 }  // namespace
 
 bool IsValidJson(std::string_view text, std::string* error) {
-  Validator v{text};
+  Validator v(text);
   if (!v.ParseValue(0)) {
     if (error != nullptr) *error = v.error;
     return false;

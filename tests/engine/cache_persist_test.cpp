@@ -16,6 +16,7 @@
 #include <string>
 #include <thread>
 
+#include "engine/fingerprint.h"
 #include "engine/solution_cache.h"
 #include "support/chaos.h"
 #include "support/error.h"
@@ -79,6 +80,78 @@ TEST(CacheEntryFormatTest, RoundTripsHostileBytesInCountedFields) {
   EXPECT_EQ(decoded->solver, value.solver);
 }
 
+/// Sample() as an entry whose placement dropped replicas from the solve.
+CachedSolution PlacedSample() {
+  CachedSolution value = Sample();
+  value.placed_mapping_text = "0:0-1\n1:4-5\n2:8-15\n";
+  value.placed_objective_value = 14.5;
+  value.placed_throughput = 3.0;
+  value.placed_latency = 1.125;
+  return value;
+}
+
+TEST(CacheEntryFormatTest, PlacedMappingRoundTrips) {
+  const std::uint64_t key = 0xfeedull;
+  const CachedSolution original = PlacedSample();
+  const std::string bytes = EncodeCacheEntry(key, original);
+  std::string error;
+  const std::optional<CachedSolution> decoded =
+      DecodeCacheEntry(key, bytes, &error);
+  ASSERT_TRUE(decoded) << error;
+  EXPECT_EQ(decoded->mapping_text, original.mapping_text);
+  EXPECT_EQ(decoded->placed_mapping_text, original.placed_mapping_text);
+  EXPECT_EQ(decoded->placed_objective_value, original.placed_objective_value);
+  EXPECT_EQ(decoded->placed_throughput, original.placed_throughput);
+  EXPECT_EQ(decoded->placed_latency, original.placed_latency);
+  EXPECT_EQ(decoded->throughput, original.throughput);
+
+  // The placed mapping is checksummed like the solve.
+  std::string flipped = bytes;
+  flipped[bytes.find("0:0-1")] ^= 0x20;
+  EXPECT_FALSE(DecodeCacheEntry(key, flipped, &error));
+  EXPECT_EQ(error, "mapping checksum mismatch");
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(DecodeCacheEntry(key, bytes.substr(0, len)))
+        << "prefix of length " << len << " decoded";
+  }
+
+  // And through the disk tier.
+  const testing::ScopedTempDir scratch;
+  DiskPersistence tier;
+  tier.Enable(scratch.path().string());
+  tier.Store(key, original);
+  tier.Flush();
+  const std::optional<CachedSolution> loaded = tier.Load(key);
+  ASSERT_TRUE(loaded);
+  EXPECT_EQ(loaded->placed_mapping_text, original.placed_mapping_text);
+  EXPECT_EQ(loaded->placed_throughput, original.placed_throughput);
+  EXPECT_EQ(loaded->mapping_text, original.mapping_text);
+}
+
+TEST(DiskPersistenceTest, VersionOneEntryIsRefusedAsAMiss) {
+  // A v1 entry has no placed mapping, so answering from it could hand a
+  // MapAndPlace caller the unplaced solve: it must miss, loudly.
+  const testing::ScopedTempDir scratch;
+  const std::string dir = scratch.path().string();
+  const std::string v1 =
+      "pipemap-cache v1\nfingerprint 0000000000000011\nsolver 2 dp\n"
+      "exact 1\nobjective 0.5\nthroughput 2\nlatency 1.5\n"
+      "payload 6 " + FingerprintHex(Fnv1a64("0:0-3\n")) + "\n0:0-3\n\nend\n";
+  WriteFile((std::filesystem::path(dir) / CacheEntryFileName(0x11)).string(),
+            v1);
+  std::string error;
+  EXPECT_FALSE(DecodeCacheEntry(0x11, v1, &error));
+  EXPECT_EQ(error, "bad or missing version line");
+
+  DiskPersistence tier;
+  tier.Enable(dir);
+  EXPECT_FALSE(tier.Load(0x11));
+  const PersistTierStats stats = tier.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.corrupt, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+}
+
 TEST(CacheEntryFormatTest, EveryTruncationIsRejected) {
   const std::uint64_t key = 42;
   const std::string bytes = EncodeCacheEntry(key, Sample());
@@ -96,7 +169,7 @@ TEST(CacheEntryFormatTest, RejectsMalformedEntries) {
 
   // Wrong version magic.
   std::string wrong_magic = bytes;
-  wrong_magic[wrong_magic.find('1')] = '2';
+  wrong_magic[wrong_magic.find(" v2") + 2] = '3';
   EXPECT_FALSE(DecodeCacheEntry(key, wrong_magic));
 
   // The file's fingerprint must match the key it is looked up under — a

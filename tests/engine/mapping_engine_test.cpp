@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/latency_mapper.h"
 #include "costmodel/cost_function.h"
@@ -15,8 +16,11 @@
 #include "machine/feasible.h"
 #include "support/deadline.h"
 #include "support/error.h"
+#include "support/metrics.h"
 #include "workloads/fft_hist.h"
 #include "workloads/radar.h"
+#include "workloads/stereo.h"
+#include "workloads/synthetic.h"
 #include "../json_util.h"
 #include "../temp_dir.h"
 #include "../test_util.h"
@@ -713,6 +717,166 @@ TEST(MappingEngineTest, RestartedIncrementalRequestRecapturesTheSweep) {
   EXPECT_EQ(SerializeMapping(warm.mapping),
             SerializeMapping(cold_response.mapping));
   EXPECT_EQ(warm.throughput, cold_response.throughput);
+}
+
+/// The six Table-2 configurations (paper Section 5), all on P=64.
+std::vector<Workload> Table2Workloads() {
+  return {workloads::MakeFftHist(256, CommMode::kMessage),
+          workloads::MakeFftHist(256, CommMode::kSystolic),
+          workloads::MakeFftHist(512, CommMode::kMessage),
+          workloads::MakeFftHist(512, CommMode::kSystolic),
+          workloads::MakeRadar(CommMode::kSystolic),
+          workloads::MakeStereo(CommMode::kSystolic)};
+}
+
+/// `request` with its chain carried only as `text`, as the server passes it.
+MapRequest AsText(MapRequest request, const std::string& text) {
+  request.chain = nullptr;
+  request.chain_text = text;
+  return request;
+}
+
+TEST(MappingEngineTest, CanonicalChainTextKeysLikeTheParsedChain) {
+  // The server keys a request on its chain section's bytes, the CLI on
+  // the parsed chain. For canonical text the two keys must be the same,
+  // or the two front ends (and a shared cache directory) would stop
+  // answering each other's fingerprints.
+  std::vector<Workload> problems = Table2Workloads();
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    workloads::SyntheticSpec spec;
+    spec.num_tasks = 8 + static_cast<int>(seed % 5);
+    spec.machine_procs = 64;
+    problems.push_back(workloads::MakeSynthetic(spec, seed));
+  }
+  const MappingEngine engine;
+  for (const Workload& w : problems) {
+    const int procs = w.machine.total_procs();
+    EXPECT_EQ(procs, 64) << w.name;
+    const std::string text = SerializeChain(w.chain, procs);
+    const MapRequest by_chain = RequestFor(w.chain, w.machine);
+    const std::uint64_t expected = engine.Fingerprint(by_chain);
+    EXPECT_EQ(engine.Fingerprint(AsText(by_chain, text)), expected)
+        << w.name;
+    MapRequest both = by_chain;
+    both.chain_text = text;
+    EXPECT_EQ(engine.Fingerprint(both), expected) << w.name;
+  }
+}
+
+TEST(MappingEngineTest, ChainTextRequestMapsOnAMissAndAHit) {
+  // Radar on the systolic iWarp: placement drops replicas, so the placed
+  // answer differs from the solve and both must survive the cache.
+  const Workload radar = workloads::MakeRadar(CommMode::kSystolic);
+  const std::string text =
+      SerializeChain(radar.chain, radar.machine.total_procs());
+  MapRequest by_chain = RequestFor(radar.chain, radar.machine);
+  by_chain.solver = SolverPolicy::kDp;
+  const MapRequest by_text = AsText(by_chain, text);
+
+  MappingEngine reference;
+  const PlacedMapping expected = reference.MapAndPlace(by_chain);
+  const MapResponse expected_solve = MappingEngine().Map(by_chain);
+  ASSERT_NE(expected.mapping, expected_solve.mapping)
+      << "placement no longer changes this mapping; pick another chain";
+
+  // A hit builds no Evaluator, so it tabulates no cost function.
+  const ScopedMetricsEnable metrics_on(true);
+  const auto tabulated = [] {
+    return MetricsRegistry::Global()
+        .Snapshot()
+        .counters["evaluator.exec_evals"];
+  };
+
+  MappingEngine engine;
+  for (const char* tier : {"", "memory"}) {
+    const std::uint64_t tabulated_before = tabulated();
+    const PlacedMapping placed = engine.MapAndPlace(by_text);
+    EXPECT_EQ(placed.response.cache_tier, tier);
+    EXPECT_EQ(placed.response.cache_hit, *tier != '\0');
+    EXPECT_EQ(tabulated() == tabulated_before, placed.response.cache_hit);
+    EXPECT_EQ(SerializeMapping(placed.mapping),
+              SerializeMapping(expected.mapping));
+    EXPECT_EQ(placed.response.mapping, expected_solve.mapping);
+    EXPECT_EQ(placed.response.throughput, expected.response.throughput);
+    EXPECT_EQ(placed.response.latency, expected.response.latency);
+    EXPECT_EQ(placed.response.objective_value,
+              expected.response.objective_value);
+    EXPECT_FALSE(placed.response.exact);
+
+    // Map alone answers the unplaced solve from the same entry.
+    const MapResponse solve = engine.Map(by_text);
+    EXPECT_TRUE(solve.cache_hit);
+    EXPECT_EQ(SerializeMapping(solve.mapping),
+              SerializeMapping(expected_solve.mapping));
+    EXPECT_EQ(solve.throughput, expected_solve.throughput);
+    EXPECT_EQ(solve.exact, expected_solve.exact);
+  }
+  // The chain-pointer request hits the entry the text request filled.
+  const MapResponse pointer_hit = engine.Map(by_chain);
+  EXPECT_TRUE(pointer_hit.cache_hit);
+  EXPECT_EQ(engine.cache().stats().inserts, 1u);
+
+  // Sweeps parse the text too.
+  const double target = 0.5 * expected_solve.throughput;
+  const ProcCountResult sized = engine.MinProcs(by_text, target);
+  const ProcCountResult reference_sized =
+      MappingEngine().MinProcs(by_chain, target);
+  EXPECT_EQ(sized.procs, reference_sized.procs);
+  EXPECT_EQ(sized.mapping, reference_sized.mapping);
+}
+
+TEST(MappingEngineTest, MalformedChainTextIsRefusedAndNeverCached) {
+  const Workload fft = workloads::MakeFftHist(256, CommMode::kMessage);
+  const std::string text =
+      SerializeChain(fft.chain, fft.machine.total_procs());
+  const MapRequest base = RequestFor(fft.chain, fft.machine);
+  MappingEngine engine;
+  for (const std::string& bad :
+       {std::string("pipemap-chain v1\nnot a chain\n"),
+        text.substr(0, text.size() / 2)}) {
+    const MapRequest request = AsText(base, bad);
+    EXPECT_THROW(engine.Map(request), InvalidArgument);
+    EXPECT_THROW(engine.MapAndPlace(request), InvalidArgument);
+  }
+  const SolutionCacheStats stats = engine.cache().stats();
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  // The parse fails before single-flight: no flight was ever led.
+  const SingleFlightStats flights = engine.single_flight_stats();
+  EXPECT_EQ(flights.leaders, 0u);
+  EXPECT_EQ(flights.failed_leaders, 0u);
+
+  // The canonical text still solves afterwards.
+  EXPECT_FALSE(engine.Map(AsText(base, text)).cache_hit);
+  EXPECT_EQ(engine.single_flight_stats().leaders, 1u);
+}
+
+TEST(MappingEngineTest, CommentedChainTextMapsIdentically) {
+  // Text that parses to the same chain but is not canonical keys apart
+  // from the canonical text and gets the identical answer.
+  const Workload radar = workloads::MakeRadar(CommMode::kSystolic);
+  const std::string text =
+      SerializeChain(radar.chain, radar.machine.total_procs());
+  std::string commented = text;
+  commented.insert(commented.find('\n') + 1, "# exported by hand\n");
+  const MapRequest base = RequestFor(radar.chain, radar.machine);
+
+  MappingEngine engine;
+  const PlacedMapping canonical = engine.MapAndPlace(AsText(base, text));
+  const PlacedMapping other = engine.MapAndPlace(AsText(base, commented));
+  EXPECT_NE(other.response.fingerprint, canonical.response.fingerprint);
+  EXPECT_FALSE(other.response.cache_hit);
+  EXPECT_EQ(SerializeMapping(other.mapping),
+            SerializeMapping(canonical.mapping));
+  EXPECT_EQ(SerializeMapping(other.response.mapping),
+            SerializeMapping(canonical.response.mapping));
+  EXPECT_EQ(other.response.throughput, canonical.response.throughput);
+  EXPECT_EQ(other.response.latency, canonical.response.latency);
+  EXPECT_EQ(other.response.objective_value,
+            canonical.response.objective_value);
+  EXPECT_EQ(other.response.exact, canonical.response.exact);
+  EXPECT_TRUE(engine.MapAndPlace(AsText(base, commented)).response.cache_hit);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "gtest/gtest.h"
 #include "io/serialize.h"
 #include "server/client.h"
+#include "support/chaos.h"
 #include "support/error.h"
 #include "support/json_verify.h"
 #include "support/metrics.h"
@@ -175,6 +176,50 @@ TEST(ServerTest, MapReportsTheNumbersOfThePlacedMapping) {
   EXPECT_EQ(Field(response, "exact"), "false");
 }
 
+TEST(ServerTest, MapHitReportsTheNumbersOfThePlacedMapping) {
+  // The radar systolic request again, as a miss and then a memory hit.
+  // The hit is answered from the cache entry alone (no chain parse, no
+  // evaluator), so the entry must carry the placed mapping and its
+  // re-evaluated numbers, not the solve's.
+  const Workload radar = workloads::MakeRadar(CommMode::kSystolic);
+  const Problem problem{
+      SerializeChain(radar.chain, radar.machine.total_procs()),
+      SerializeMachine(radar.machine)};
+  ServerRequest request = MapRequestFor(problem);
+  request.algorithm = "dp";
+  TestServer ts;
+  ServerClient client = ts.Connect();
+  const std::string miss = CheckedCall(client, request);
+  const std::string hit = CheckedCall(client, request);
+  ASSERT_TRUE(IsOk(miss));
+  ASSERT_TRUE(IsOk(hit));
+  EXPECT_EQ(Field(miss, "cache_tier"), "\"\"");
+  EXPECT_EQ(Field(hit, "cache_tier"), "\"memory\"");
+  for (const char* key : {"mapping", "throughput", "latency",
+                          "objective_value", "exact", "solver"}) {
+    EXPECT_EQ(Field(hit, key), Field(miss, key)) << key;
+  }
+  EXPECT_EQ(Field(hit, "exact"), "false");
+}
+
+TEST(ServerTest, ReportWithBadSimOptionsRefusesBeforeSolving) {
+  TestServer ts;
+  ServerClient client = ts.Connect();
+  ServerRequest report = MapRequestFor(MakeProblem(4, 8));
+  report.op = "report";
+  report.datasets = 0;
+  const std::string response = CheckedCall(client, report);
+  EXPECT_FALSE(IsOk(response));
+  EXPECT_EQ(Field(response, "code"), "\"invalid_argument\"");
+
+  ServerRequest stats;
+  stats.op = "stats";
+  const std::string counters = CheckedCall(client, stats);
+  const std::string cache = counters.substr(counters.find("\"cache\""));
+  EXPECT_EQ(Field(cache, "misses"), "0");
+  EXPECT_EQ(Field(cache, "inserts"), "0");
+}
+
 TEST(ServerTest, SimulateAndReportRoundTrip) {
   TestServer ts;
   const Problem problem = MakeProblem(4, 8);
@@ -290,7 +335,15 @@ TEST(ServerTest, FullAdmissionQueueRejectsImmediately) {
   // Saturate the single worker and the one queue slot with slow solves,
   // then fire a burst of concurrent pings. With at most two requests in
   // the system, most of the burst must be rejected — and rejection is
-  // immediate (the connection thread answers without a worker).
+  // immediate (the connection thread answers without a worker). The
+  // solves are slowed by the chaos seam that sleeps before each handler:
+  // the DP finishes this problem in milliseconds, long before the burst,
+  // which then raced an idle worker and sometimes met no full queue.
+  struct ChaosReset {
+    ~ChaosReset() { ChaosInjector::Global().Reset(); }
+  } chaos_reset;
+  ChaosInjector::Global().Configure(
+      ParseChaosSpec("seed=1,solver_slow=1:300ms"));
   const Problem big = MakeProblem(10, 48);
   std::vector<std::thread> busy;
   for (int i = 0; i < 2; ++i) {

@@ -3,6 +3,8 @@
 // is process-global, so every test Resets it on the way out.
 #include "support/chaos.h"
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -120,6 +122,54 @@ TEST(ChaosInjectorTest, CountsDrawsAndInjectionsPerSeam) {
   EXPECT_EQ(stats.injected[static_cast<int>(ChaosSeam::kPersistWriteFail)],
             10u);
   EXPECT_EQ(stats.draws[static_cast<int>(ChaosSeam::kReadTrunc)], 0u);
+}
+
+TEST(ChaosInjectorTest, ReconfigureRacesWithDraws) {
+  // Connection threads keep drawing while the spec is swapped and reset
+  // under them (the test-only mid-flight reconfigure). Under
+  // ThreadSanitizer (the chaos_tsan ctest entry) this pins that the spec
+  // is published without a data race.
+  ChaosGuard guard;
+  ChaosInjector& injector = ChaosInjector::Global();
+  const ChaosSpec storm = ParseChaosSpec(
+      "seed=9,read_delay=1:0ms,conn_drop=0.5,persist_read_fail=0.25");
+  const ChaosSpec other = ParseChaosSpec("seed=10,solver_slow=1:0ms");
+  std::atomic<bool> stop{false};
+  std::atomic<int> fired{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (int s = 0; s < kChaosSeamCount; ++s) {
+          if (injector.MaybeDelay(static_cast<ChaosSeam>(s))) {
+            fired.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  // Keep swapping until the readers have drawn from armed specs many
+  // times; the yield lets them run between a Configure and its Reset.
+  for (int round = 0; round < 300 || fired.load() < 2000; ++round) {
+    injector.Configure(round % 2 == 0 ? storm : other);
+    std::this_thread::yield();
+    if (round % 3 == 0) injector.Reset();
+  }
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  // A seeded storm still replays exactly once the readers are gone.
+  const auto replay = [&] {
+    injector.Configure(storm);
+    std::vector<bool> out;
+    for (int i = 0; i < 100; ++i) {
+      out.push_back(injector.ShouldInject(ChaosSeam::kConnDrop));
+    }
+    return out;
+  };
+  EXPECT_EQ(replay(), replay());
+  const ChaosStats stats = injector.stats();
+  EXPECT_EQ(stats.draws[static_cast<int>(ChaosSeam::kConnDrop)], 100u);
 }
 
 TEST(ChaosInjectorTest, DelayMagnitudeIsExposed) {

@@ -373,8 +373,11 @@ int MapCommand(const std::vector<std::string>& args, std::ostream& out) {
            " a certified optimum\n";
   }
 
+  const Evaluator eval(problem.chain, request.ResolvedProcs(),
+                       request.machine.node_memory_bytes,
+                       request.options.num_threads);
   out << "mapping: " << placed.mapping.ToString(problem.chain) << "\n";
-  out << ExplainMapping(placed.eval, placed.mapping).Render(problem.chain);
+  out << ExplainMapping(eval, placed.mapping).Render(problem.chain);
   if (const auto path = flags.Get("out")) {
     WriteTextFile(*path, SerializeMapping(placed.mapping));
     out << "wrote " << *path << "\n";
@@ -490,10 +493,12 @@ int ReportCommand(const std::vector<std::string>& args, std::ostream& out) {
   const ScopedMetricsEnable metrics_on(true);
   const auto trace_path = flags.Get("trace");
 
-  const PlacedMapping placed =
-      MappingEngine::Shared().MapAndPlace(BuildMapRequest(flags, problem));
-  const Evaluator& eval = placed.eval;
+  const MapRequest request = BuildMapRequest(flags, problem);
+  const PlacedMapping placed = MappingEngine::Shared().MapAndPlace(request);
   const Mapping& mapping = placed.mapping;
+  const Evaluator eval(problem.chain, request.ResolvedProcs(),
+                       request.machine.node_memory_bytes,
+                       request.options.num_threads);
 
   const SimOptions sim_options = SimOptionsFromFlags(flags);
 
