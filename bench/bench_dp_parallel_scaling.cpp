@@ -136,33 +136,36 @@ int Run(const std::string& out_path, int procs, int num_tasks) {
   MetricsRegistry::Global().Reset();
 
   std::vector<ThreadSample> samples;
-  for (int threads = 1; threads <= 8; threads *= 2) {
-    MapperOptions options;
-    options.allow_clustering = false;
-    options.num_threads = threads;
-    options.observe = true;
-    const DpMapper mapper(options);
-    const double start = Now();
-    const MapResult r = mapper.Map(eval, procs);
-    const double wall = Now() - start;
-    ThreadSample s;
-    s.threads = threads;
-    s.oversubscribed = threads > physical;
-    s.wall_s = wall;
-    s.work = r.work;
-    s.pruned_cells = r.pruned_cells;
-    s.throughput = r.throughput;
-    s.worker_work = r.worker_work;
-    s.work_imbalance = WorkImbalance(r.worker_work);
-    s.mapping = r.mapping.ToString(w.chain);
-    samples.push_back(std::move(s));
-    std::printf("  %d thread%s: %8.3f s   work=%llu  pruned=%llu"
-                "  imbalance=%.3f%s\n",
-                threads, threads == 1 ? " " : "s", wall,
-                static_cast<unsigned long long>(r.work),
-                static_cast<unsigned long long>(r.pruned_cells),
-                samples.back().work_imbalance,
-                samples.back().oversubscribed ? "  (oversubscribed)" : "");
+  {
+    // The ladder's solves run observed; the switch is restored after.
+    const ScopedMetricsEnable metrics_on(true);
+    for (int threads = 1; threads <= 8; threads *= 2) {
+      MapperOptions options;
+      options.allow_clustering = false;
+      options.num_threads = threads;
+      const DpMapper mapper(options);
+      const double start = Now();
+      const MapResult r = mapper.Map(eval, procs);
+      const double wall = Now() - start;
+      ThreadSample s;
+      s.threads = threads;
+      s.oversubscribed = threads > physical;
+      s.wall_s = wall;
+      s.work = r.work;
+      s.pruned_cells = r.pruned_cells;
+      s.throughput = r.throughput;
+      s.worker_work = r.worker_work;
+      s.work_imbalance = WorkImbalance(r.worker_work);
+      s.mapping = r.mapping.ToString(w.chain);
+      samples.push_back(std::move(s));
+      std::printf("  %d thread%s: %8.3f s   work=%llu  pruned=%llu"
+                  "  imbalance=%.3f%s\n",
+                  threads, threads == 1 ? " " : "s", wall,
+                  static_cast<unsigned long long>(r.work),
+                  static_cast<unsigned long long>(r.pruned_cells),
+                  samples.back().work_imbalance,
+                  samples.back().oversubscribed ? "  (oversubscribed)" : "");
+    }
   }
 
   bool identical = true;

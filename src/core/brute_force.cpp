@@ -74,7 +74,6 @@ BruteForceMapper::BruteForceMapper(BruteForceOptions options)
 
 MapResult BruteForceMapper::Map(const Evaluator& eval, int total_procs) const {
   const int k = eval.num_tasks();
-  const ScopedMetricsEnable observe(options_.base.observe);
   PIPEMAP_TRACE_SPAN("brute.map", "brute", k);
   const ReplicationPolicy policy = options_.base.replication;
   const ProcPredicate& feasible = options_.base.proc_feasible;
@@ -152,7 +151,6 @@ LatencyBruteResult BruteForceMinLatency(const Evaluator& eval,
                                         double min_throughput,
                                         const BruteForceOptions& options) {
   const int k = eval.num_tasks();
-  const ScopedMetricsEnable observe(options.base.observe);
   PIPEMAP_TRACE_SPAN("brute.min_latency", "brute", k);
   const ProcPredicate& feasible = options.base.proc_feasible;
   const bool clustering_allowed = options.base.allow_clustering;

@@ -404,7 +404,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
   const int num_threads = ThreadPool::ResolveThreads(options.num_threads);
   const Deadline* deadline = options.deadline.get();
 
-  const ScopedMetricsEnable observe(options.observe);
   PIPEMAP_TRACE_SPAN("dp.run", "dp", k);
   PIPEMAP_COUNTER_ADD("dp.runs", 1);
 

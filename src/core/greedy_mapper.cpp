@@ -78,7 +78,6 @@ MapResult GreedyMapper::MapWithClustering(const Evaluator& eval,
   const int l = static_cast<int>(clustering.size());
   PIPEMAP_CHECK(l >= 1, "GreedyMapper: clustering must be non-empty");
 
-  const ScopedMetricsEnable observe(options_.base.observe);
   PIPEMAP_TRACE_SPAN("greedy.cluster", "greedy", l);
 
   std::uint64_t work = 0;
@@ -269,7 +268,6 @@ MapResult GreedyMapper::MapWithClustering(const Evaluator& eval,
 
 MapResult GreedyMapper::Map(const Evaluator& eval, int total_procs) const {
   const int k = eval.num_tasks();
-  const ScopedMetricsEnable observe(options_.base.observe);
   PIPEMAP_TRACE_SPAN("greedy.map", "greedy", k);
 
   Clustering clustering = SingletonClustering(k);

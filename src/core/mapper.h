@@ -35,12 +35,6 @@ struct MapperOptions {
   /// produces identical mappings and objective values; `proc_feasible`
   /// must be safe to call concurrently when this is not 1.
   int num_threads = 0;
-  /// Forces metrics collection (support/metrics.h) on for the duration of
-  /// the mapping run, restoring the previous process-wide setting after.
-  /// With this false (the default) collection follows the process-wide
-  /// switch, which the CLI's --metrics/--trace flags control. Collection
-  /// never changes the returned mapping or objective.
-  bool observe = false;
   /// Optional warm-start state shared across adjacent solves (frontier
   /// and budget sweeps). Null runs cold. Purely an accelerator: the DP
   /// returns identical mappings warm or cold (see core/warm_start.h for

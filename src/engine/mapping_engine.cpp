@@ -420,7 +420,7 @@ MapResponse MappingEngine::Solve(const MapRequest& request,
   // did not exist.
   std::shared_ptr<SingleFlightGroup::Flight> flight;
   bool flight_leader = false;
-  if (response.cacheable && config_.single_flight && !capture_solve) {
+  if (response.cacheable && !capture_solve) {
     const auto joined = single_flight_.Join(response.fingerprint);
     flight = joined.first;
     flight_leader = joined.second;

@@ -248,10 +248,6 @@ struct EngineConfig {
   /// Disk budget for the persistent tier; 0 = unbounded. Crossing it
   /// evicts oldest entries (engine/cache_persist.h).
   std::uint64_t cache_dir_max_bytes = 0;
-  /// Collapse concurrent identical-fingerprint solves into one
-  /// (engine/single_flight.h). Purely a work saver; answers and cache
-  /// contents are unchanged.
-  bool single_flight = true;
 };
 
 class MappingEngine {
@@ -324,7 +320,7 @@ class MappingEngine {
   SolutionCache cache_;
   /// Leader-election table collapsing concurrent identical solves
   /// (engine/single_flight.h); consulted only after a cache miss on
-  /// cacheable requests when config_.single_flight is set.
+  /// cacheable requests.
   SingleFlightGroup single_flight_;
 
   /// Whole-sweep memoization (Frontier / MinProcs), FIFO-bounded at

@@ -289,7 +289,6 @@ struct MapperOptionsMirror {
   ProcPredicate proc_feasible;
   std::size_t max_table_bytes;
   int num_threads;
-  bool observe;
   std::shared_ptr<WarmStartState> warm;
   bool incremental;  // accelerator-only, like warm/deadline: excluded from
                      // serialization and the cache fingerprint (incremental

@@ -41,8 +41,9 @@
 // joining the engine.map span of the same solve), written to the
 // structured access log, and fed to the rolling-window SLO monitor. The
 // `metrics` op serves the whole registry as Prometheus text exposition.
-// All of it compiles to a no-op under PIPEMAP_NO_OBSERVABILITY except
-// the trace-id echo, which is protocol surface, not instrumentation.
+// Spans and metrics record only while the process-wide runtime switches
+// (Tracer::Enable, MetricsRegistry::Enable) are on; the trace-id echo is
+// protocol surface, not instrumentation, and is always on.
 #pragma once
 
 #include <atomic>
@@ -84,18 +85,11 @@ struct ServerConfig {
   std::size_t queue_capacity = 64;
   /// Frames above this are drained and refused (see ReadFrame).
   std::size_t max_frame_bytes = 4u << 20;
-  /// Engine to solve on; nullptr uses MappingEngine::Shared().
+  /// Engine to solve on; nullptr uses MappingEngine::Shared(). A daemon
+  /// that keeps its cache on disk passes an engine built with
+  /// EngineConfig::cache_dir; Drain flushes that engine's pending spills
+  /// before reporting done.
   MappingEngine* engine = nullptr;
-
-  /// When non-empty, the engine's solution cache persists to this
-  /// directory (engine/cache_persist.h): solved fingerprints spill
-  /// write-behind, misses probe disk lazily, and a restarted daemon
-  /// pointed at the same directory serves yesterday's traffic as cache
-  /// hits. Drain flushes pending spills before reporting done.
-  std::string cache_dir;
-  /// Disk budget for the persistent tier; 0 = unbounded. Crossing it
-  /// evicts oldest entries (engine/cache_persist.h).
-  std::uint64_t cache_dir_max_bytes = 0;
 
   /// Overload resilience (server/overload.h, DESIGN.md §12): adaptive
   /// admission shedding and brownout serving, driven by the SLO burn
@@ -124,8 +118,7 @@ struct ServerConfig {
   /// bytes in/out, queue wait, solve time, cache/solver/deadline
   /// provenance, status), written asynchronously (support/access_log.h —
   /// a full log queue drops lines, never blocks requests). Empty path
-  /// disables it; the whole feature compiles out under
-  /// PIPEMAP_NO_OBSERVABILITY.
+  /// disables it.
   std::string access_log_path;
   std::size_t access_log_max_bytes = 64u << 20;
   std::size_t access_log_queue = 4096;
@@ -306,8 +299,7 @@ class PipemapServer {
   ServerCounters counters_;
 
   SloMonitor slo_;
-  /// Null when no access log is configured (or under
-  /// PIPEMAP_NO_OBSERVABILITY).
+  /// Null when no access log is configured.
   std::unique_ptr<AccessLogger> access_log_;
 
   OverloadController overload_;

@@ -18,15 +18,11 @@
 // Cost and purity contract (mirrors DESIGN.md §5c):
 //   * telemetry only ever READS simulator state — it never perturbs the
 //     timing recurrence, the noise stream, or any result field, so
-//     simulated results are byte-identical with collection on, off, or
-//     compiled out;
+//     simulated results are byte-identical with collection on or off;
 //   * the whole object is inert unless MetricsRegistry::Enabled() or
 //     Tracer::Enabled() held at construction: the disabled-path cost of a
 //     simulation run is two relaxed atomic loads total (hooks early-out on
-//     one cached bool);
-//   * under PIPEMAP_NO_OBSERVABILITY every hook is an empty inline and the
-//     class carries no state, so instrumented simulators compile to
-//     exactly their uninstrumented selves.
+//     one cached bool).
 //
 // Metric names follow the "<subsystem>.<metric>" convention; per-module
 // series embed the module index as its own segment:
@@ -50,22 +46,6 @@
 namespace pipemap {
 
 struct SimResult;
-
-#if defined(PIPEMAP_NO_OBSERVABILITY)
-
-/// Compiled-out stub: same surface, no state, every hook an empty inline.
-class SimTelemetry {
- public:
-  SimTelemetry(const Mapping&, int) {}
-  bool active() const { return false; }
-  void RecordPhase(int, int, TraceEvent::Phase, int, double, double) {}
-  void RecordQueuePush(int, double) {}
-  void RecordQueuePop(int, double) {}
-  void RecordDataset(int, double, double) {}
-  void Finish(const SimResult&) {}
-};
-
-#else
 
 class SimTelemetry {
  public:
@@ -120,7 +100,5 @@ class SimTelemetry {
   std::vector<ModuleHandles> handles_;  // metrics_ only
   std::vector<QueueEvent> queue_events_;
 };
-
-#endif  // PIPEMAP_NO_OBSERVABILITY
 
 }  // namespace pipemap

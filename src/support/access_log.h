@@ -15,9 +15,9 @@
 //   * Flush drains the queue and fflushes, for tests and for the final
 //     drain report; the destructor does the same before closing.
 //
-// The logger itself is plain infrastructure — it compiles and runs under
-// PIPEMAP_NO_OBSERVABILITY; it is the *call sites* (server/server.cpp)
-// that compile away, which is what makes the whole layer a no-op there.
+// The logger itself is plain infrastructure: it writes whatever it is
+// handed. Whether a request produces a line is the server's decision
+// (ServerConfig::access_log_path, server/server.cpp).
 #pragma once
 
 #include <atomic>

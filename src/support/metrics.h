@@ -8,10 +8,8 @@
 //     calls never contend on one line;
 //   * recording is gated on a single relaxed atomic load
 //     (MetricsRegistry::Enabled()); with collection off, an instrumented
-//     call site is one predictable branch;
-//   * the PIPEMAP_* macros below compile to nothing when
-//     PIPEMAP_NO_OBSERVABILITY is defined, for builds that must prove the
-//     instrumentation is free.
+//     call site is one predictable branch. That runtime switch is the only
+//     way to turn collection on or off.
 // Shards are only aggregated when a snapshot is taken, never on the hot
 // path. Handles returned by GetCounter/GetGauge/GetHistogram are interned
 // by name and remain valid for the registry's lifetime (Reset zeroes
@@ -185,8 +183,10 @@ class MetricsRegistry {
   static std::atomic<bool> enabled_;
 };
 
-/// Enables metrics collection for a scope (e.g. MapperOptions::observe or
-/// a benchmark run) and restores the previous state on exit.
+/// Enables metrics collection for a scope (a CLI command, the server's
+/// lifetime, a benchmark run) and restores the previous state on exit.
+/// Meant for the process's outermost owner of the switch: library code
+/// never toggles it, so a solve cannot undo what another thread enabled.
 class ScopedMetricsEnable {
  public:
   explicit ScopedMetricsEnable(bool enable)
@@ -205,15 +205,6 @@ class ScopedMetricsEnable {
 
 // Instrumentation macros. `name` must be a string literal; the handle is
 // interned once per call site and cached in a function-local static.
-#if defined(PIPEMAP_NO_OBSERVABILITY)
-
-#define PIPEMAP_COUNTER_ADD(name, n) ((void)0)
-#define PIPEMAP_GAUGE_SET(name, v) ((void)0)
-#define PIPEMAP_GAUGE_MAX(name, v) ((void)0)
-#define PIPEMAP_HISTOGRAM_RECORD(name, v) ((void)0)
-
-#else
-
 #define PIPEMAP_COUNTER_ADD(name, n)                                     \
   do {                                                                   \
     if (::pipemap::MetricsRegistry::Enabled()) {                         \
@@ -253,5 +244,3 @@ class ScopedMetricsEnable {
       pipemap_metric_handle_->Record(static_cast<double>(v));            \
     }                                                                    \
   } while (false)
-
-#endif  // PIPEMAP_NO_OBSERVABILITY

@@ -76,23 +76,19 @@ struct ThreadPool::Impl {
     for (;;) {
       int worker = -1;
       {
-#if !defined(PIPEMAP_NO_OBSERVABILITY)
         // Helper idle time (blocked between regions). The clock is read
         // only while metrics are on, so the disabled path stays a plain
         // condition-variable wait.
         const bool measure = MetricsRegistry::Enabled();
         const std::uint64_t wait_begin = measure ? Tracer::NowNs() : 0;
-#endif
         std::unique_lock<std::mutex> lock(mutex);
         work_cv.wait(lock, [&] { return stop || generation != seen; });
         if (stop) return;
-#if !defined(PIPEMAP_NO_OBSERVABILITY)
         if (measure) {
           PIPEMAP_HISTOGRAM_RECORD(
               "pool.dispatch_wait_us",
               static_cast<double>(Tracer::NowNs() - wait_begin) / 1000.0);
         }
-#endif
         seen = generation;
         if (helper_index + 1 < num_workers) worker = helper_index + 1;
       }

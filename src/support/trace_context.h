@@ -11,10 +11,10 @@
 // counter through a splitmix64 finalizer, so concurrent admitters never
 // hand out the same id and ids do not reveal the request count.
 //
-// This is identity plumbing, not instrumentation: it stays live under
-// PIPEMAP_NO_OBSERVABILITY (responses still echo trace ids — only the
-// spans, metrics, and access-log lines recorded *about* the id compile
-// out).
+// This is identity plumbing, not instrumentation: responses echo trace
+// ids whether or not metrics and tracing are switched on — only the
+// spans, metrics, and access-log lines recorded *about* the id depend on
+// those runtime switches.
 #pragma once
 
 #include <cstdint>

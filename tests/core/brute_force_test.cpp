@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "support/error.h"
+#include "support/metrics.h"
 #include "../test_util.h"
 
 namespace pipemap {
@@ -54,6 +55,24 @@ TEST(BruteForceTest, RespectsProcPredicate) {
   options.base.proc_feasible = [](int p) { return p <= 3; };
   const MapResult result = BruteForceMapper(options).Map(eval, 7);
   EXPECT_LE(result.mapping.modules[0].procs_per_instance, 3);
+}
+
+TEST(BruteForceTest, SolveKeepsMetricsEnabledMidSolve) {
+  // Only the process's owner sets the metrics switch. A solve that starts
+  // with collection off must not switch it back off after someone else
+  // (here the predicate, standing in for another thread) turned it on.
+  const ScopedMetricsEnable restore_after_test(false);
+  MetricsRegistry::Global().Enable(false);
+  const TaskChain chain = testing::SmallChain();
+  const Evaluator eval(chain, 6, kTestNodeMemory);
+  BruteForceOptions options;
+  options.base.num_threads = 1;
+  options.base.proc_feasible = [](int) {
+    MetricsRegistry::Global().Enable(true);
+    return true;
+  };
+  BruteForceMapper(options).Map(eval, 6);
+  EXPECT_TRUE(MetricsRegistry::Enabled());
 }
 
 TEST(BruteForceTest, EvaluationCapThrows) {

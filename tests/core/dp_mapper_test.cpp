@@ -4,6 +4,7 @@
 
 #include "core/brute_force.h"
 #include "support/error.h"
+#include "support/metrics.h"
 #include "workloads/synthetic.h"
 #include "../test_util.h"
 
@@ -86,6 +87,24 @@ TEST(DpMapperTest, ProcPredicateRestrictsInstanceSizes) {
   for (const ModuleAssignment& m : result.mapping.modules) {
     EXPECT_EQ(m.procs_per_instance % 2, 0);
   }
+}
+
+TEST(DpMapperTest, SolveKeepsMetricsEnabledMidSolve) {
+  // Only the process's owner sets the metrics switch. A solve that starts
+  // with collection off must not switch it back off after someone else
+  // (here the predicate, standing in for another thread) turned it on.
+  const ScopedMetricsEnable restore_after_test(false);
+  MetricsRegistry::Global().Enable(false);
+  const TaskChain chain = testing::SmallChain();
+  const Evaluator eval(chain, 12, kTestNodeMemory);
+  MapperOptions options;
+  options.num_threads = 1;
+  options.proc_feasible = [](int) {
+    MetricsRegistry::Global().Enable(true);
+    return true;
+  };
+  DpMapper(options).Map(eval, 12);
+  EXPECT_TRUE(MetricsRegistry::Enabled());
 }
 
 TEST(DpMapperTest, InfeasibleWhenMemoryMinimaExceedMachine) {

@@ -93,9 +93,9 @@ TEST(GreedyMapperTest, MinBudgetSearchIsLogarithmicInProcessors) {
   const Evaluator eval(chain, 256, kTestNodeMemory);
 
   MetricsRegistry::Global().Reset();
+  const ScopedMetricsEnable metrics_on(true);
   GreedyOptions options;
   options.base.proc_feasible = [](int p) { return p >= 37; };
-  options.base.observe = true;
   const MapResult result = GreedyMapper(options).Map(eval, 256);
   EXPECT_GE(result.mapping.modules[0].procs_per_instance, 37);
 
@@ -104,6 +104,24 @@ TEST(GreedyMapperTest, MinBudgetSearchIsLogarithmicInProcessors) {
   // One MinUsableBudget call: 2 endpoint probes + ceil(log2(256)) splits.
   EXPECT_LE(snap.counters.at("greedy.min_budget_probes"), 12u);
   MetricsRegistry::Global().Reset();
+}
+
+TEST(GreedyMapperTest, SolveKeepsMetricsEnabledMidSolve) {
+  // Only the process's owner sets the metrics switch. A solve that starts
+  // with collection off must not switch it back off after someone else
+  // (here the predicate, standing in for another thread) turned it on.
+  const ScopedMetricsEnable restore_after_test(false);
+  MetricsRegistry::Global().Enable(false);
+  const TaskChain chain = testing::SmallChain();
+  const Evaluator eval(chain, 12, kTestNodeMemory);
+  GreedyOptions options;
+  options.base.num_threads = 1;
+  options.base.proc_feasible = [](int) {
+    MetricsRegistry::Global().Enable(true);
+    return true;
+  };
+  GreedyMapper(options).Map(eval, 12);
+  EXPECT_TRUE(MetricsRegistry::Enabled());
 }
 
 TEST(GreedyMapperTest, WorkIsLinearInProcessors) {

@@ -256,7 +256,6 @@ TEST(MappingEngineTest, FingerprintSeparatesProblems) {
   // Execution knobs must NOT move the fingerprint.
   MapRequest threaded = base;
   threaded.options.num_threads = 4;
-  threaded.options.observe = true;
   EXPECT_EQ(engine.Fingerprint(threaded), fp);
 }
 

@@ -174,13 +174,12 @@ TEST(MapperOptionsSerializationTest, EveryFingerprintedFieldRoundTrips) {
 }
 
 TEST(MapperOptionsSerializationTest, SerializationIsCanonical) {
-  // Execution-only knobs (threads, observation, warm-start state) must not
+  // Execution-only knobs (threads, warm-start state) must not
   // leak into the serialized form: it is the engine cache key, and those
   // knobs cannot change the returned mapping.
   MapperOptions a;
   MapperOptions b;
   b.num_threads = 7;
-  b.observe = true;
   b.warm = std::make_shared<WarmStartState>();
   EXPECT_EQ(SerializeMapperOptions(a), SerializeMapperOptions(b));
 }

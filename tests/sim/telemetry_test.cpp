@@ -1,12 +1,7 @@
-// Pipeline-runtime telemetry (sim/telemetry.h).
-//
-// This file is compiled twice: into sim_tests (normal build) and into
-// noobs_tests with PIPEMAP_NO_OBSERVABILITY, which recompiles the
-// whole library tree with the hooks compiled out. The hand-computed
-// simulation results are asserted identically in both binaries — the
-// executable proof that telemetry never perturbs a simulated result —
-// while the recording-expectation tests are gated to the instrumented
-// build.
+// Pipeline-runtime telemetry (sim/telemetry.h). The hand-computed
+// simulation results are asserted with collection off and on — the proof
+// that telemetry never perturbs a simulated result — and the recording
+// tests check what an enabled run publishes.
 #include "sim/telemetry.h"
 
 #include <gtest/gtest.h>
@@ -146,27 +141,6 @@ TEST_F(TelemetryTest, ModuleActivityRecoversPaperResponses) {
   }
 }
 
-#if defined(PIPEMAP_NO_OBSERVABILITY)
-
-// In the compiled-out build every hook is an empty inline and nothing may
-// reach the (still linked) registry even when it is enabled.
-TEST_F(TelemetryTest, CompiledOutBuildRecordsNothing) {
-  const TaskChain chain = TwoTaskChain();
-  MetricsRegistry::Global().Enable(true);
-  PipelineSimulator(chain).Run(TwoSingletons(), Noiseless(5));
-  EventDrivenSimulator(chain).Run(TwoSingletons(), Noiseless(5));
-  MetricsRegistry::Global().Enable(false);
-  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.gauges.empty());
-  EXPECT_TRUE(snap.histograms.empty());
-
-  const SimTelemetry stub(TwoSingletons(), 5);
-  EXPECT_FALSE(stub.active());
-}
-
-#else  // instrumented build
-
 TEST_F(TelemetryTest, InactiveWhenCollectorsDisabled) {
   const SimTelemetry telemetry(TwoSingletons(), 5);
   EXPECT_FALSE(telemetry.active());
@@ -271,8 +245,6 @@ TEST_F(TelemetryTest, QueueDepthPeakGrowsWhenDownstreamIsSlow) {
   EXPECT_GE(snap.gauges.at("sim.module.1.queue_depth_peak"), 1.0);
   EXPECT_EQ(snap.gauges.at("sim.module.0.queue_depth_peak"), 0.0);
 }
-
-#endif  // PIPEMAP_NO_OBSERVABILITY
 
 }  // namespace
 }  // namespace pipemap

@@ -13,12 +13,6 @@
 #include "../test_util.h"
 
 namespace pipemap {
-namespace testing {
-// Defined in metrics_noop_tu.cpp, which compiles the instrumentation
-// macros with PIPEMAP_NO_OBSERVABILITY.
-void RunNoopInstrumentation();
-}  // namespace testing
-
 namespace {
 
 using testing::IsValidJson;
@@ -283,20 +277,6 @@ TEST_F(MetricsTest, DisabledTracerSpansAreInert) {
   EXPECT_TRUE(Tracer::Global().Events().empty());
 }
 
-TEST_F(MetricsTest, CompileTimeNoopPathRecordsNothing) {
-  testing::RunNoopInstrumentation();
-  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-  for (const auto& [name, value] : snap.counters) {
-    EXPECT_EQ(name.rfind("noop.", 0), std::string::npos) << name;
-  }
-  EXPECT_EQ(snap.counters.count("noop.counter"), 0u);
-  EXPECT_EQ(snap.gauges.count("noop.gauge"), 0u);
-  EXPECT_EQ(snap.histograms.count("noop.histogram"), 0u);
-  for (const Tracer::Event& e : Tracer::Global().Events()) {
-    EXPECT_STRNE(e.name, "noop.span");
-  }
-}
-
 TEST_F(MetricsTest, ObservedDpRunMatchesUnobservedRun) {
   const TaskChain chain = testing::SmallChain();
   const Evaluator eval(chain, 12, kTestNodeMemory);
@@ -304,9 +284,8 @@ TEST_F(MetricsTest, ObservedDpRunMatchesUnobservedRun) {
   MetricsRegistry::Global().Enable(false);
   const MapResult unobserved = DpMapper().Map(eval, 12);
 
-  MapperOptions options;
-  options.observe = true;
-  const MapResult observed = DpMapper(options).Map(eval, 12);
+  MetricsRegistry::Global().Enable(true);
+  const MapResult observed = DpMapper().Map(eval, 12);
 
   // Observation must never perturb the algorithm.
   EXPECT_EQ(observed.mapping.ToString(chain),
@@ -320,10 +299,6 @@ TEST_F(MetricsTest, ObservedDpRunMatchesUnobservedRun) {
   EXPECT_EQ(snap.counters.at("dp.runs"), 1u);
   EXPECT_GT(snap.counters.at("dp.cells_evaluated"), 0u);
   EXPECT_GT(snap.counters.at("dp.stages_swept"), 0u);
-
-  // MapperOptions::observe restores the previous (disabled) state.
-  EXPECT_FALSE(MetricsRegistry::Enabled());
-  MetricsRegistry::Global().Enable(true);  // hand TearDown its usual state
 }
 
 }  // namespace

@@ -31,8 +31,8 @@ TEST(PrometheusNameTest, ManglesToValidMetricNames) {
 }
 
 TEST(PrometheusExpositionTest, EmptySnapshotIsEmptyDocument) {
-  // The PIPEMAP_NO_OBSERVABILITY server relies on this: an empty registry
-  // renders to a valid, zero-series exposition.
+  // A process that never enabled metrics scrapes an empty registry; that
+  // must render to a valid, zero-series exposition.
   EXPECT_EQ(PrometheusExposition(MetricsSnapshot{}), "");
 }
 

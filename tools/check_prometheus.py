@@ -12,8 +12,8 @@ response (detected by a leading '{'; the exposition is unwrapped from the
   * histogram families export cumulative `_bucket{le="..."}` series with
     nondecreasing counts, a final `le="+Inf"` bucket, and
     `+Inf == _count`;
-  * an empty document is valid (the zero-series exposition the
-    PIPEMAP_NO_OBSERVABILITY build serves).
+  * an empty document is valid (the zero-series exposition a process
+    that never enabled metrics collection serves).
 
 Exit 0 when valid, 1 with a reason on stderr otherwise.
 """

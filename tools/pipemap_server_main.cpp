@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/mapping_engine.h"
 #include "server/server.h"
 #include "support/chaos.h"
 #include "support/error.h"
@@ -113,6 +114,7 @@ double CheckedDoubleFlag(const char* name, const std::string& value) {
 
 int main(int argc, char** argv) {
   pipemap::server::ServerConfig config;
+  pipemap::EngineConfig engine_config;
   std::string trace_path;
   std::string chaos_spec;
   const std::vector<std::string> args(argv + 1, argv + argc);
@@ -136,9 +138,9 @@ int main(int argc, char** argv) {
       config.queue_capacity =
           static_cast<std::size_t>(CheckedFlag("--queue", value()));
     } else if (arg == "--cache-dir") {
-      config.cache_dir = value();
+      engine_config.cache_dir = value();
     } else if (arg == "--cache-dir-max-bytes") {
-      config.cache_dir_max_bytes = static_cast<std::uint64_t>(
+      engine_config.cache_dir_max_bytes = static_cast<std::uint64_t>(
           CheckedFlag("--cache-dir-max-bytes", value()));
     } else if (arg == "--no-overload") {
       config.overload_enabled = false;
@@ -215,6 +217,10 @@ int main(int argc, char** argv) {
 
   const pipemap::ScopedMetricsEnable metrics_on(true);
   if (!trace_path.empty()) pipemap::Tracer::Global().Enable(true);
+  // Declared before the server so it outlives the server's final drain,
+  // which flushes the engine's pending disk spills.
+  pipemap::MappingEngine engine(engine_config);
+  config.engine = &engine;
   pipemap::server::PipemapServer server(config);
   try {
     server.Start();
