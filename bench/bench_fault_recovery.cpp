@@ -179,6 +179,7 @@ int Run(const std::string& out_path, int reps) {
   JsonWriter w;
   w.BeginObject();
   w.Key("bench").String("bench_fault_recovery");
+  WriteHostJson(w);
   w.Key("reps").Int(reps);
   w.Key("all_valid").Bool(all_valid);
   w.Key("scenarios").BeginArray();

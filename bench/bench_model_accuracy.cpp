@@ -128,6 +128,7 @@ int Run(const std::string& out_path) {
   JsonWriter w;
   w.BeginObject();
   w.Key("bench").String("bench_model_accuracy");
+  WriteHostJson(w);
   w.Key("applications").BeginArray();
   for (const AppRecord& app : apps) {
     w.BeginObject();

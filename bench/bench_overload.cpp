@@ -8,9 +8,11 @@
 //   * each rung runs as a pair — once against a server with adaptive
 //     shedding armed (queue-depth watermark) and once against the same
 //     server with `overload_enabled = false` (the pre-overload-layer
-//     behavior: admit until the queue is full, then reject). The gate
-//     rung runs kGatePairs pairs, alternating which side goes first, so
-//     the checker can compare medians instead of one noisy sample;
+//     behavior: admit until the queue is full, then reject). Every rung
+//     alternates which side goes first: the gate rung runs kGatePairs
+//     pairs, so the checker can compare medians instead of one noisy
+//     sample, and the other rungs run two, one in each order, so a gap
+//     that follows the run order shows as such;
 //   * recorded per rung and mode: goodput (ok responses / wall second),
 //     shed and queue-full-reject rates, degraded share, and p50/p99 of
 //     the *served* responses only — the claim under test is that
@@ -51,6 +53,7 @@
 #include "support/json_writer.h"
 #include "support/parse.h"
 #include "workloads/synthetic.h"
+#include "bench_util.h"
 
 namespace pipemap::bench {
 namespace {
@@ -67,6 +70,8 @@ constexpr int kVariants = 32;
 // swings by ~0.4 between runs of the same code; the median of five is
 // what the checker gates.
 constexpr int kGatePairs = 5;
+// Pairs at every other rung: one shed-first, one baseline-first.
+constexpr int kUngatedPairs = 2;
 
 struct ProblemMix {
   std::vector<std::string> chains;
@@ -272,7 +277,7 @@ int Run(const std::string& out_path, double rung_seconds) {
   std::vector<std::vector<RungPair>> rungs;  // per ladder rung
   for (std::size_t i = 0; i < ladder.size(); ++i) {
     const int clients = ladder[i];
-    const int pairs = i + 1 == ladder.size() ? kGatePairs : 1;
+    const int pairs = i + 1 == ladder.size() ? kGatePairs : kUngatedPairs;
     rungs.emplace_back();
     for (int k = 0; k < pairs; ++k) {
       RungPair pair;
@@ -328,6 +333,7 @@ int Run(const std::string& out_path, double rung_seconds) {
   JsonWriter w;
   w.BeginObject();
   w.Key("bench").String("overload");
+  WriteHostJson(w);
   w.Key("workers").Int(kWorkers);
   w.Key("queue_capacity").UInt(kQueueCapacity);
   w.Key("rung_seconds").Double(rung_seconds);

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/dp_sweep_state.h"
 #include "core/simd_kernels.h"
 #include "support/aligned.h"
 #include "support/deadline.h"
@@ -61,6 +60,31 @@ struct BestTerminal {
     if (other.b != b) return other.b < b;
     return other.slot < slot;
   }
+};
+
+/// One DP stage as flat structure-of-arrays tables. States are indexed by
+/// ((pu * (cap+1) + b) * slot_pitch + slot): `pu` processors used, `b` the
+/// last module's budget, `slot` the rank of the previous module's
+/// per-instance processor count in the solve's slot universe (slot 0 is
+/// the no-predecessor marker). slot_pitch is padded to whole cache lines
+/// so workers sweeping different rows never share a line, and so the
+/// vector kernels can read full lanes (padding holds +inf).
+struct FlatStage {
+  AlignedBuffer<double> value;
+  AlignedBuffer<std::uint32_t> bp;
+  /// Per-(pu, b) cell occupancy range, packed lo | hi << 16: slots in
+  /// [lo, hi) have been initialized (written once, or gap-filled with
+  /// +inf); lanes outside are uninitialized garbage and must never be
+  /// read. hi <= lo means the cell is empty. This is what lets a stage
+  /// skip clearing its O(cap^2 * slots) value/bp tables — only this
+  /// O(cap^2) array is reset — and lets the per-cell scans touch just the
+  /// handful of live lanes instead of the whole slot axis.
+  AlignedBuffer<std::uint32_t> slot_range;
+  /// row_live[pu] != 0 iff some (pu, b, slot) cell is finite. One cache
+  /// line per flag: the flags are written concurrently (relaxed stores of
+  /// 1) by workers sweeping different source rows.
+  std::vector<CacheLinePadded<std::atomic<char>>> row_live;
+  bool allocated = false;
 };
 
 }  // namespace
@@ -337,7 +361,7 @@ int RoundUp4(int n) { return (n + 3) & ~3; }
 /// FlatStage::slot_range.
 constexpr std::uint32_t kEmptyCellRange = 0xffffu;
 
-/// (Re)initializes a stage to the unreachable state. Only the per-cell
+/// Initializes a stage to the unreachable state. Only the per-cell
 /// occupancy ranges and row flags are reset — the value/bp tables are
 /// never bulk-cleared (a full clear of the O(cap^2 * slots) tables per
 /// stage used to dominate the sweep's memory traffic); lanes outside a
@@ -349,40 +373,6 @@ void ClearStage(FlatStage& s, std::size_t cells, int rows) {
     s.row_live[static_cast<std::size_t>(row)].value.store(
         0, std::memory_order_relaxed);
   }
-}
-
-/// First stage index whose captured contents may disagree with `eval`:
-/// the earliest dirty task, dirty edge + 1 (edge e is first charged when a
-/// module ending at e extends, writing stages >= e + 1), or the end task
-/// of a module range whose memory minimum / replicability changed. `k`
-/// means nothing is dirty.
-int ComputeDirtyFrom(const DpSweepState& s, const Evaluator& eval, int k,
-                     int max_len) {
-  int dirty = k;
-  for (int t = 0; t < k; ++t) {
-    if (s.task_hash[static_cast<std::size_t>(t)] != eval.TaskCostHash(t)) {
-      dirty = std::min(dirty, t);
-      break;  // later tasks cannot lower the minimum
-    }
-  }
-  for (int e = 0; e < k - 1 && e + 1 < dirty; ++e) {
-    if (s.edge_hash[static_cast<std::size_t>(e)] != eval.EdgeCostHash(e)) {
-      dirty = std::min(dirty, e + 1);
-      break;
-    }
-  }
-  const std::vector<int>& mp = eval.min_procs_table();
-  const std::vector<char>& rp = eval.replicable_table();
-  for (int first = 0; first < k && dirty > 0; ++first) {
-    const int last_max = std::min(k - 1, first + max_len - 1);
-    for (int last = first; last <= last_max && last < dirty; ++last) {
-      const std::size_t idx = static_cast<std::size_t>(first) * k + last;
-      if (s.min_procs[idx] != mp[idx] || s.replicable[idx] != rp[idx]) {
-        dirty = std::min(dirty, last);
-      }
-    }
-  }
-  return dirty;
 }
 
 }  // namespace
@@ -584,69 +574,12 @@ DpSolution RunChainDp(const DpProblem& problem) {
     }
   }
 
-  // ---------------------------------------------------------------------
-  // Incremental re-solve: check a captured sweep out of the warm state
-  // (exclusively — it is re-attached only on success), find the first
-  // stage whose inputs changed, and keep every earlier stage's tables.
-  // Reuse additionally requires the gate inputs to agree: identical slot
-  // universe and identical suffix-budget bounds over the clean prefix
-  // (both gate which cells exist). When anything disqualifies the capture
-  // the solve silently runs the full sweep — incremental is an
-  // accelerator, never a semantic switch.
-  //
-  // Capture runs with dominance pruning disabled on non-terminal stages
-  // so the kept tables are complete. That is exactness-preserving in both
-  // directions: a write emitted from a cell the pruned sweep would have
-  // skipped carries a value >= its cell bound > threshold >= optimum, and
-  // values never decrease along a chain (max-aggregation, or adding
-  // non-negative costs), so no such write can reach, beat, or tie the
-  // optimum's terminal state — the mapping and objective are bitwise what
-  // the pruned cold solve returns.
-  // ---------------------------------------------------------------------
-  const bool want_capture = options.incremental && warm && eval.tabulated();
-  std::shared_ptr<DpSweepState> sweep;
-  bool used_sweep_prefix = false;
-  // First stage (end-task index) that must be re-swept; k-1 at minimum is
-  // always re-swept so the terminal candidates are re-selected.
-  int rebuild_from = 0;
-  if (want_capture && warm->sweep) {
-    std::shared_ptr<DpSweepState> prior = std::move(warm->sweep);
-    warm->sweep.reset();
-    const DpSweepState& s = *prior;
-    const bool key_ok =
-        s.k == k && s.cap == cap && s.max_len == max_len &&
-        s.policy == policy && s.rule == problem.config_rule &&
-        s.response_cap == response_cap &&
-        s.has_predicate == static_cast<bool>(options.proc_feasible) &&
-        s.path_sum == path_sum && s.slot_procs == slot_procs &&
-        s.slot_pitch == slot_pitch;
-    if (key_ok) {
-      int dirty = ComputeDirtyFrom(s, eval, k, max_len);
-      bool gates_ok = true;
-      for (int t = 0; t <= std::min(dirty, k); ++t) {
-        if (s.suffix_min[static_cast<std::size_t>(t)] != suffix_min[t]) {
-          gates_ok = false;
-          break;
-        }
-      }
-      if (gates_ok && dirty > 0) {
-        sweep = std::move(prior);
-        used_sweep_prefix = true;  // dirty == k reuses every stage but last
-        rebuild_from = std::min(dirty, k - 1);
-        ++warm->prefix_reused;
-        PIPEMAP_COUNTER_ADD("dp.sweep_prefix_reused", 1);
-      }
-    }
-  }
-  const bool fresh_grid = sweep == nullptr;
-  if (fresh_grid) {
-    sweep = std::make_shared<DpSweepState>();
-    sweep->stages.resize(static_cast<std::size_t>(k) * k);
-    rebuild_from = 0;
-  }
-  DpSweepState& grid = *sweep;
-  auto stage_at = [&grid, k](int j, int len) -> FlatStage& {
-    return grid.stages[static_cast<std::size_t>(j) * k + (len - 1)];
+  // The stage grid, indexed j * k + (len - 1). Stages are allocated on
+  // first write.
+  std::vector<FlatStage> stages(static_cast<std::size_t>(k) * k);
+  std::size_t allocated_bytes = 0;
+  auto stage_at = [&stages, k](int j, int len) -> FlatStage& {
+    return stages[static_cast<std::size_t>(j) * k + (len - 1)];
   };
 
   const std::size_t stage_cells =
@@ -659,8 +592,8 @@ DpSolution RunChainDp(const DpProblem& problem) {
   auto ensure_stage = [&](int j, int len) -> FlatStage& {
     FlatStage& s = stage_at(j, len);
     if (!s.allocated) {
-      grid.allocated_bytes += bytes_per_stage;
-      if (grid.allocated_bytes > options.max_table_bytes) {
+      allocated_bytes += bytes_per_stage;
+      if (allocated_bytes > options.max_table_bytes) {
         throw ResourceLimit(
             "RunChainDp: DP table exceeds max_table_bytes; reduce P or use "
             "GreedyMapper");
@@ -675,15 +608,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
     }
     return s;
   };
-  // Stages at or past the rebuild point are re-derived from scratch.
-  if (!fresh_grid) {
-    for (int j = rebuild_from; j < k; ++j) {
-      for (int len = 1; len <= std::min(max_len, j + 1); ++len) {
-        FlatStage& s = stage_at(j, len);
-        if (s.allocated) ClearStage(s, stage_cells, cap + 1);
-      }
-    }
-  }
   auto cell_index = [cap](int pu, int b) {
     return static_cast<std::size_t>(pu) * (cap + 1) + b;
   };
@@ -721,11 +645,9 @@ DpSolution RunChainDp(const DpProblem& problem) {
     return true;
   };
 
-  // Seed: first module [0 .. len-1] with budget b. Under prefix reuse,
-  // seeds landing in clean stages are already in the captured tables.
+  // Seed: first module [0 .. len-1] with budget b.
   for (int len = 1; len <= std::min(max_len, k); ++len) {
     const int last = len - 1;
-    if (!fresh_grid && last < rebuild_from) continue;
     const std::size_t cbase = ctx.CfgBase(0, last);
     const long long suffix_needed = suffix_min[last + 1];
     for (int b = 1; b <= cap; ++b) {
@@ -773,11 +695,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
     ws.src_idx.assign(cap4, -1.0);
   }
 
-  // Whether dominance pruning may skip cells. Capture keeps the tables
-  // complete, so pruning stays off on stages with outgoing writes; the
-  // terminal stage writes nothing, so it always prunes.
-  const bool capture_tables = want_capture;
-
   // Cooperative deadline: any worker observing expiry raises the shared
   // flag; the other workers bail at their next row boundary and the stage
   // loop stops. The partially swept stage's candidates are discarded (a
@@ -787,16 +704,8 @@ DpSolution RunChainDp(const DpProblem& problem) {
   bool aborted = false;
 
   // Process stages in increasing end-task order so transitions always move
-  // forward. Under prefix reuse, stages before the rebuild point are
-  // re-swept only as sources for rebuilt destinations (a module spans at
-  // most max_len tasks, so stages earlier than rebuild_from - max_len
-  // cannot write into the rebuilt suffix at all).
-  const int sweep_from =
-      fresh_grid ? 0 : std::max(0, rebuild_from - max_len);
-  for (int j = sweep_from; j < k && !aborted; ++j) {
-    // Clean source stages only emit into rebuilt destinations; their own
-    // tables and terminal candidates are already accounted for.
-    const bool source_only = !fresh_grid && j < rebuild_from;
+  // forward.
+  for (int j = 0; j < k && !aborted; ++j) {
     for (int len = 1; len <= std::min(max_len, j + 1); ++len) {
       if (deadline != nullptr && deadline->ExpiredNow()) {
         aborted = true;
@@ -893,12 +802,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
           const bool reachable =
               t.next_min < kInfeasibleProcs &&
               min_live_pu + t.next_min + t.tail_needed <= cap;
-          // Under prefix reuse, writes into clean stages are already in
-          // the captured tables (and would be no-ops: the min-update is
-          // idempotent); skip them.
-          const bool wanted =
-              fresh_grid || next_last >= rebuild_from;
-          if (reachable && wanted) {
+          if (reachable) {
             t.stage = &ensure_stage(next_last, len2);
             const std::size_t nbase = ctx.CfgBase(j + 1, next_last);
             std::vector<int> procs2;
@@ -923,11 +827,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
           }
           targets.push_back(std::move(t));
         }
-      }
-      if (source_only) {
-        bool any_target = false;
-        for (const Target& t : targets) any_target |= t.stage != nullptr;
-        if (!any_target) continue;
       }
 
       // The dominance threshold stays frozen for the whole stage: `best`
@@ -973,18 +872,15 @@ DpSolution RunChainDp(const DpProblem& problem) {
             // at least the cheapest incoming value combined with this
             // module's body at zero boundary communication. Strictly worse
             // than the threshold means no completion can beat or tie the
-            // optimum. With capture on, the prune is disabled (the tables
-            // must stay complete); the extra writes can never displace the
-            // optimum — see the capture comment above. The min over the
-            // initialized lanes equals the min over the whole conceptual
-            // row: uninitialized lanes are +inf by definition.
+            // optimum. The min over the initialized lanes equals the min
+            // over the whole conceptual row: uninitialized lanes are +inf
+            // by definition.
             const double v_min = simd::RowMin(vrow + lo, hi - lo);
             const double body = body_of_rank[static_cast<std::size_t>(rank)];
             const double cell_bound =
                 path_sum ? v_min + body
                          : std::max(v_min, body / replicas);
-            if ((!capture_tables || is_last_stage) &&
-                cell_bound > std::min(frozen_threshold, local_best.total)) {
+            if (cell_bound > std::min(frozen_threshold, local_best.total)) {
               ++local_pruned;
               continue;
             }
@@ -1023,7 +919,6 @@ DpSolution RunChainDp(const DpProblem& problem) {
               }
               continue;
             }
-            if (source_only && n == 0) continue;
 
             // Extend with the next module [j+1 .. j+len2] and budget b2.
             // The kernel runs per source over the contiguous valid-b2
@@ -1150,7 +1045,7 @@ DpSolution RunChainDp(const DpProblem& problem) {
   PIPEMAP_COUNTER_ADD("dp.cells_evaluated", work);
   PIPEMAP_COUNTER_ADD("dp.cells_pruned", pruned_cells);
   PIPEMAP_GAUGE_MAX("dp.table_bytes",
-                    static_cast<double>(grid.allocated_bytes));
+                    static_cast<double>(allocated_bytes));
 
   const bool timed_out = aborted;
   if (timed_out) PIPEMAP_COUNTER_ADD("dp.deadline_expirations", 1);
@@ -1205,37 +1100,9 @@ DpSolution RunChainDp(const DpProblem& problem) {
   solution.reused_tables = reused_tables;
   solution.seeded_incumbent = seeded_incumbent;
   solution.timed_out = timed_out;
-  solution.used_sweep_prefix = used_sweep_prefix;
-  solution.resweep_from = used_sweep_prefix ? rebuild_from : -1;
   solution.worker_work = std::move(worker_work_total);
   if (warm) warm->incumbent = solution.mapping;
 
-  // Re-attach the sweep for the next incremental solve. Timed-out grids
-  // are dropped: a partially swept stage is not a function of the problem
-  // alone, so it must never seed a future prefix.
-  if (want_capture && !timed_out) {
-    DpSweepState& st = grid;
-    st.k = k;
-    st.cap = cap;
-    st.max_len = max_len;
-    st.policy = policy;
-    st.rule = problem.config_rule;
-    st.response_cap = response_cap;
-    st.has_predicate = static_cast<bool>(options.proc_feasible);
-    st.path_sum = path_sum;
-    st.task_hash.resize(static_cast<std::size_t>(k));
-    for (int t = 0; t < k; ++t) st.task_hash[t] = eval.TaskCostHash(t);
-    st.edge_hash.resize(static_cast<std::size_t>(std::max(0, k - 1)));
-    for (int e = 0; e < k - 1; ++e) st.edge_hash[e] = eval.EdgeCostHash(e);
-    st.min_procs = eval.min_procs_table();
-    st.replicable = eval.replicable_table();
-    st.suffix_min = suffix_min;
-    st.slot_procs = slot_procs;
-    st.slot_pitch = slot_pitch;
-    warm->sweep = std::move(sweep);
-    ++warm->sweeps_captured;
-    PIPEMAP_COUNTER_ADD("dp.sweeps_captured", 1);
-  }
   return solution;
 }
 

@@ -7,7 +7,6 @@
 #include "costmodel/memory.h"
 #include "costmodel/poly.h"
 #include "support/error.h"
-#include "support/hash.h"
 #include "support/metrics.h"
 #include "support/thread_pool.h"
 #include "support/tracer.h"
@@ -123,25 +122,6 @@ Evaluator::Evaluator(const TaskChain& chain, int max_procs,
           chain.RangeReplicable(first, last) ? 1 : 0;
     }
   }
-
-  // Content hashes for incremental re-solves: a task's hash covers its
-  // execution row, an edge's its redistribution row and external block.
-  // Cheap next to the tabulation itself (one pass over the same memory).
-  if (tabulated_) {
-    task_hash_.resize(k_);
-    for (int t = 0; t < k_; ++t) {
-      task_hash_[t] = FnvHashDoubles(
-          &exec_table_[static_cast<std::size_t>(t) * pp], pp);
-    }
-    edge_hash_.resize(std::max(0, k_ - 1));
-    for (int e = 0; e < k_ - 1; ++e) {
-      std::uint64_t h = FnvHashDoubles(
-          &icom_table_[static_cast<std::size_t>(e) * pp], pp);
-      edge_hash_[e] = FnvHashDoubles(
-          &ecom_table_[static_cast<std::size_t>(e) * pp * pp],
-          static_cast<std::size_t>(pp) * pp, h);
-    }
-  }
 }
 
 const double* Evaluator::EComRow(int edge, int sender_procs) const {
@@ -152,19 +132,6 @@ const double* Evaluator::EComRow(int edge, int sender_procs) const {
   const int pp = max_procs_ + 1;
   return &ecom_table_[(static_cast<std::size_t>(edge) * pp + sender_procs) *
                       pp];
-}
-
-std::uint64_t Evaluator::TaskCostHash(int task) const {
-  PIPEMAP_CHECK(tabulated_, "TaskCostHash: evaluator is not tabulated");
-  PIPEMAP_CHECK(task >= 0 && task < k_, "TaskCostHash: task out of range");
-  return task_hash_[task];
-}
-
-std::uint64_t Evaluator::EdgeCostHash(int edge) const {
-  PIPEMAP_CHECK(tabulated_, "EdgeCostHash: evaluator is not tabulated");
-  PIPEMAP_CHECK(edge >= 0 && edge < k_ - 1,
-                "EdgeCostHash: edge out of range");
-  return edge_hash_[edge];
 }
 
 int Evaluator::MinProcsUncached(int first, int last) const {

@@ -68,8 +68,7 @@ class Evaluator {
   double ECom(int edge, int sender_procs, int receiver_procs) const;
 
   /// True when the cost tables are materialized (max_procs within the
-  /// tabulation limit); the batched row accessors and content hashes below
-  /// require it.
+  /// tabulation limit); the batched row accessor below requires it.
   bool tabulated() const { return tabulated_; }
 
   /// Contiguous external-communication row for (edge, sender): entry pr
@@ -77,20 +76,6 @@ class Evaluator {
   /// evaluators only. The DP's vectorized transition kernel reads these
   /// rows directly instead of calling ECom per cell.
   const double* EComRow(int edge, int sender_procs) const;
-
-  /// FNV-1a content hash of task `task`'s tabulated execution row, and of
-  /// edge `edge`'s internal-redistribution row plus external-communication
-  /// block. Two evaluators with equal hashes (and equal range caches, see
-  /// the accessors below) agree on every cost the DP reads for that task /
-  /// edge — the foundation of the incremental re-solve's dirty-suffix
-  /// detection. Tabulated evaluators only.
-  std::uint64_t TaskCostHash(int task) const;
-  std::uint64_t EdgeCostHash(int edge) const;
-
-  /// Raw range caches (k*k, (first, last) at first * k + last), for the
-  /// incremental re-solve's direct metadata comparison.
-  const std::vector<int>& min_procs_table() const { return min_procs_; }
-  const std::vector<char>& replicable_table() const { return replicable_; }
 
   /// Module body time: executions of tasks [first, last] plus internal
   /// redistributions between them, on one group of `procs` processors.
@@ -145,10 +130,6 @@ class Evaluator {
   std::vector<double> ecom_table_;    // (k-1) * (P+1) * (P+1)
   std::vector<int> min_procs_;        // k * k cache, kInfeasibleProcs sentinel
   std::vector<char> replicable_;      // k * k cache
-
-  // Content hashes over the tables above (tabulated evaluators only).
-  std::vector<std::uint64_t> task_hash_;  // k
-  std::vector<std::uint64_t> edge_hash_;  // k - 1
 
   int MinProcsUncached(int first, int last) const;
 };

@@ -24,9 +24,9 @@
 // Contract: table reuse is keyed on everything the tables depend on
 // except the feasibility predicate, whose std::function identity cannot be
 // compared. The caller must only share one WarmStartState across solves
-// that use the same predicate (the engine keys its warm states on the
-// machine fingerprint, which subsumes it). The state is not synchronized;
-// concurrent solves must not share one instance without external locking.
+// that use the same predicate (one frontier sweep, one sizing search, one
+// portfolio run, or one repair). The state is not synchronized; concurrent
+// solves must not share one instance without external locking.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,6 @@ namespace pipemap {
 
 namespace detail {
 struct DpRangeTables;
-struct DpSweepState;
 }  // namespace detail
 
 struct WarmStartState {
@@ -65,21 +64,10 @@ struct WarmStartState {
   /// least recently used beyond kMaxWarmTables) when none matches.
   std::vector<std::shared_ptr<detail::DpRangeTables>> tables;
 
-  /// Captured DP sweep for incremental re-solves (see
-  /// core/dp_sweep_state.h). Populated only when a solve runs with
-  /// MapperOptions::incremental; a subsequent solve whose chain prefix and
-  /// cost content are unchanged reuses the completed prefix stages and
-  /// re-sweeps only the dirty suffix. A solve checks the state out
-  /// exclusively (detach, mutate, re-attach on success), so an aborted
-  /// re-solve can never leave a half-rebuilt grid behind for the next one.
-  std::shared_ptr<detail::DpSweepState> sweep;
-
   /// Reuse statistics, for provenance and tests.
   std::uint64_t tables_reused = 0;
   std::uint64_t tables_built = 0;
   std::uint64_t incumbents_seeded = 0;
-  std::uint64_t sweeps_captured = 0;
-  std::uint64_t prefix_reused = 0;
 };
 
 }  // namespace pipemap

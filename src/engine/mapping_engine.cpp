@@ -1,6 +1,5 @@
 #include "engine/mapping_engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <exception>
@@ -280,8 +279,6 @@ std::string MapResponse::ToJson() const {
   w.Key("tables_built").UInt(warm_tables_built);
   w.Key("tables_reused").UInt(warm_tables_reused);
   w.Key("incumbents_seeded").UInt(warm_incumbents_seeded);
-  w.Key("sweeps_captured").UInt(warm_sweeps_captured);
-  w.Key("sweep_prefix_reused").UInt(warm_sweep_prefix_reused);
   w.EndObject();
   w.Key("budget_exhausted").Bool(budget_exhausted);
   w.Key("timed_out").Bool(timed_out);
@@ -307,25 +304,6 @@ MappingEngine::MappingEngine(EngineConfig config)
 MappingEngine& MappingEngine::Shared() {
   static MappingEngine engine;
   return engine;
-}
-
-std::uint64_t MappingEngine::WarmPoolKey(const MapRequest& request,
-                                         int procs) const {
-  FingerprintBuilder fb;
-  fb.Append("pipemap-warm-pool v1");
-  fb.Append(SerializeMachine(request.machine));
-  fb.Append(SerializeMapperOptions(request.options));
-  fb.Append(static_cast<int>(request.objective));
-  fb.Append(static_cast<int>(request.solver));
-  fb.Append(procs);
-  fb.Append(request.min_throughput);
-  fb.Append(request.machine_feasibility);
-  return fb.value();
-}
-
-bool MappingEngine::WarmPoolContains(std::uint64_t key) {
-  std::lock_guard<std::mutex> lock(sweep_mu_);
-  return warm_pool_.find(key) != warm_pool_.end();
 }
 
 std::uint64_t MappingEngine::Fingerprint(const MapRequest& request) const {
@@ -378,21 +356,8 @@ MapResponse MappingEngine::Solve(const MapRequest& request,
   MapResponse response;
   response.trace_id = request.trace_id;
   response.cacheable = request.use_cache && !request.options.proc_feasible;
-  // An incremental request whose configuration has no pooled warm state
-  // solves even when the cache could answer: only a real solve captures
-  // the DP sweep that later perturbed re-solves reuse. Without this, a
-  // process restarted onto a persistent cache would answer from disk
-  // forever and never rebuild its warm pool.
-  bool capture_solve = false;
   if (response.cacheable) {
     response.fingerprint = Fingerprint(request);
-    if (request.options.incremental && !request.options.warm &&
-        !WarmPoolContains(WarmPoolKey(request, procs))) {
-      capture_solve = true;
-      PIPEMAP_COUNTER_ADD("engine.cache.capture_solves", 1);
-    }
-  }
-  if (response.cacheable && !capture_solve) {
     if (std::optional<CachedSolution> hit =
             cache_.Lookup(response.fingerprint)) {
       AnswerFrom(*hit, &response, placed);
@@ -420,7 +385,7 @@ MapResponse MappingEngine::Solve(const MapRequest& request,
   // did not exist.
   std::shared_ptr<SingleFlightGroup::Flight> flight;
   bool flight_leader = false;
-  if (response.cacheable && !capture_solve) {
+  if (response.cacheable) {
     const auto joined = single_flight_.Join(response.fingerprint);
     flight = joined.first;
     flight_leader = joined.second;
@@ -465,30 +430,7 @@ MapResponse MappingEngine::Solve(const MapRequest& request,
 
   // One warm-start state threads greedy's incumbent into the DP (and any
   // caller-provided state carries across engine calls on the same chain).
-  // Incremental requests without their own state check one out of the
-  // engine's pool, keyed by everything EXCEPT the chain: the captured DP
-  // sweep inside validates the chain's cost content itself (hash-based)
-  // and reuses whatever prefix is still clean, so a remap after a cost
-  // perturbation re-sweeps only the dirty suffix.
   std::shared_ptr<WarmStartState> warm = options.warm;
-  std::uint64_t warm_key = 0;
-  bool pooled_warm = false;
-  if (!warm && options.incremental && !request.options.proc_feasible) {
-    warm_key = WarmPoolKey(request, procs);
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    const auto it = warm_pool_.find(warm_key);
-    if (it != warm_pool_.end()) {
-      warm = std::move(it->second);
-      warm_pool_.erase(it);
-      const auto pos =
-          std::find(warm_order_.begin(), warm_order_.end(), warm_key);
-      if (pos != warm_order_.end()) warm_order_.erase(pos);
-      PIPEMAP_COUNTER_ADD("engine.warm_pool.hits", 1);
-    } else {
-      PIPEMAP_COUNTER_ADD("engine.warm_pool.misses", 1);
-    }
-    pooled_warm = true;
-  }
   if (!warm) {
     warm = std::make_shared<WarmStartState>();
   }
@@ -496,8 +438,6 @@ MapResponse MappingEngine::Solve(const MapRequest& request,
   const std::uint64_t built0 = warm->tables_built;
   const std::uint64_t reused0 = warm->tables_reused;
   const std::uint64_t seeded0 = warm->incumbents_seeded;
-  const std::uint64_t captured0 = warm->sweeps_captured;
-  const std::uint64_t prefix0 = warm->prefix_reused;
 
   // Portfolio stage list.
   std::vector<SolverPolicy> stages;
@@ -569,25 +509,7 @@ MapResponse MappingEngine::Solve(const MapRequest& request,
   response.warm_tables_built = warm->tables_built - built0;
   response.warm_tables_reused = warm->tables_reused - reused0;
   response.warm_incumbents_seeded = warm->incumbents_seeded - seeded0;
-  response.warm_sweeps_captured = warm->sweeps_captured - captured0;
-  response.warm_sweep_prefix_reused = warm->prefix_reused - prefix0;
   response.solve_seconds = SecondsSince(start);
-
-  // Return the pooled state so the next incremental request on the same
-  // machine/options finds the sweep this solve just captured. On an
-  // exception above the state is simply dropped — the next request solves
-  // cold, which is always correct.
-  if (pooled_warm) {
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    if (warm_pool_.size() >= config_.cache_capacity &&
-        !warm_order_.empty()) {
-      warm_pool_.erase(warm_order_.front());
-      warm_order_.pop_front();
-    }
-    if (warm_pool_.emplace(warm_key, warm).second) {
-      warm_order_.push_back(warm_key);
-    }
-  }
 
   if (response.timed_out) PIPEMAP_COUNTER_ADD("engine.map.timed_out", 1);
 

@@ -188,12 +188,6 @@ struct MapResponse {
   std::uint64_t warm_tables_built = 0;
   std::uint64_t warm_tables_reused = 0;
   std::uint64_t warm_incumbents_seeded = 0;
-  /// Incremental re-solve activity (MapperOptions::incremental): sweeps
-  /// captured for future reuse and solves that reused a captured sweep's
-  /// clean prefix. Purely informational — incremental results are
-  /// byte-identical to cold ones.
-  std::uint64_t warm_sweeps_captured = 0;
-  std::uint64_t warm_sweep_prefix_reused = 0;
   /// kAuto stopped escalating because time_budget_s was spent.
   bool budget_exhausted = false;
   /// A solver was interrupted mid-stage by the request deadline and
@@ -311,11 +305,6 @@ class MappingEngine {
   /// changed the mapping.
   MapResponse Solve(const MapRequest& request, Mapping* placed);
 
-  /// Warm-pool key of `request`: the request fingerprint MINUS the chain
-  /// serialization (see warm_pool_ below).
-  std::uint64_t WarmPoolKey(const MapRequest& request, int procs) const;
-  bool WarmPoolContains(std::uint64_t key);
-
   EngineConfig config_;
   SolutionCache cache_;
   /// Leader-election table collapsing concurrent identical solves
@@ -333,19 +322,6 @@ class MappingEngine {
   std::deque<std::uint64_t> frontier_order_;
   std::unordered_map<std::uint64_t, ProcCountResult> sizing_cache_;
   std::deque<std::uint64_t> sizing_order_;
-
-  /// Warm-start pool for incremental re-solves (MapperOptions::
-  /// incremental): states keyed by the request fingerprint MINUS the chain
-  /// serialization, so a re-solve of a perturbed chain — a repair remap
-  /// after cost drift, a refinement iteration — finds the state captured
-  /// by the previous solve of the same machine/options/budget and reuses
-  /// the DP sweep's clean prefix. Entries are checked out exclusively
-  /// (removed under the lock, re-attached after the solve), so concurrent
-  /// requests never share mutable sweep state; a second concurrent request
-  /// simply misses and solves cold. FIFO-bounded like the sweep caches.
-  std::unordered_map<std::uint64_t, std::shared_ptr<WarmStartState>>
-      warm_pool_;
-  std::deque<std::uint64_t> warm_order_;
 };
 
 }  // namespace pipemap

@@ -290,9 +290,6 @@ struct MapperOptionsMirror {
   std::size_t max_table_bytes;
   int num_threads;
   std::shared_ptr<WarmStartState> warm;
-  bool incremental;  // accelerator-only, like warm/deadline: excluded from
-                     // serialization and the cache fingerprint (incremental
-                     // results are byte-identical to cold ones)
   std::shared_ptr<const Deadline> deadline;
 };
 static_assert(sizeof(MapperOptions) == sizeof(MapperOptionsMirror),

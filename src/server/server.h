@@ -5,7 +5,7 @@
 // protocol in server/protocol.h, a bounded admission queue decouples
 // connection handling from solving, and a fixed pool of solver workers
 // drains the queue into one shared MappingEngine — so every request in
-// the process sees the same solution cache and warm pool.
+// the process sees the same solution cache.
 //
 // Threading model:
 //   * one accept thread; one lightweight thread per connection (reads

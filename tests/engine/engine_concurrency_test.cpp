@@ -62,7 +62,7 @@ TEST(EngineConcurrencyTest, MixedMapAndSweepTrafficIsSafeAndDeterministic) {
 
   // Hammer one shared engine from many threads with a mixed request
   // stream: maps (cold, then cache hits), frontiers (whole-sweep memo),
-  // incremental warm-pool traffic. Every answer must be byte-identical
+  // uncached solves. Every answer must be byte-identical
   // to the serial reference.
   MappingEngine shared;
   std::atomic<int> mismatches{0};
@@ -94,9 +94,9 @@ TEST(EngineConcurrencyTest, MixedMapAndSweepTrafficIsSafeAndDeterministic) {
             break;
           }
           default: {
-            // Warm-pool traffic: incremental solves check warm state out
-            // of the shared pool exclusively and re-attach it after.
-            request.options.incremental = true;
+            // Uncached solves run alongside the cached traffic on the
+            // shared engine.
+            request.use_cache = false;
             const MapResponse response = shared.Map(request);
             if (SerializeMapping(response.mapping) !=
                 expected_mappings[static_cast<std::size_t>(v)]) {

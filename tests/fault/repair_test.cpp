@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/evaluator.h"
+#include "io/serialize.h"
 #include "support/error.h"
 #include "workloads/fft_hist.h"
+#include "workloads/stereo.h"
 #include "../test_util.h"
 
 namespace pipemap {
@@ -146,6 +150,53 @@ TEST(RepairEngineTest, WarmRepairSeedsTheIncumbent) {
   // The drop-replica candidate exists (replicas >= 2), so the remap solve
   // starts from a feasible incumbent.
   EXPECT_TRUE(outcome.warm_start_used);
+}
+
+TEST(RepairEngineTest, FullRemapMatchesAColdSolveOfTheSurvivors) {
+  // The warm-start incumbent a full remap carries only tightens pruning:
+  // the repaired mapping is exactly what a fresh engine's kAuto solve on
+  // the surviving processors returns.
+  const std::vector<Workload> apps = {
+      workloads::MakeFftHist(256, CommMode::kMessage),
+      workloads::MakeStereo(CommMode::kSystolic)};
+  for (const Workload& w : apps) {
+    SCOPED_TRACE(w.name);
+    MappingEngine engine;
+    MapRequest healthy;
+    healthy.chain = &w.chain;
+    healthy.machine = w.machine;
+    const Mapping failed = engine.Map(healthy).mapping;
+    // Crash one instance of the first replicated module (module 0 when
+    // none is: the remap then runs without a drop-replica incumbent).
+    int victim = 0;
+    for (int m = 0; m < failed.num_modules(); ++m) {
+      if (failed.modules[m].replicas >= 2) {
+        victim = m;
+        break;
+      }
+    }
+
+    RepairRequest request;
+    request.chain = &w.chain;
+    request.machine = w.machine;
+    request.failed_mapping = failed;
+    request.failed_module = victim;
+    request.failed_instances = 1;
+    request.policy = RepairPolicy::kFullRemap;
+    const RepairOutcome outcome = RepairEngine(&engine).Repair(request);
+
+    MappingEngine fresh;
+    MapRequest cold;
+    cold.chain = &w.chain;
+    cold.machine = w.machine;
+    cold.total_procs = w.machine.total_procs() -
+                       failed.modules[victim].procs_per_instance;
+    cold.solver = SolverPolicy::kAuto;
+    const MapResponse expected = fresh.Map(cold);
+    EXPECT_EQ(SerializeMapping(outcome.mapping),
+              SerializeMapping(expected.mapping));
+    EXPECT_EQ(outcome.post_fault_throughput, expected.throughput);
+  }
 }
 
 TEST(RepairEngineTest, TimedOutRepairStillReturnsValidMapping) {
